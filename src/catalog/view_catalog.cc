@@ -26,8 +26,8 @@ std::string PlanSignature(const RewriteOptions& o) {
   sig += o.coalesce_output ? 'C' : 'c';
   sig += o.minimize_output ? 'M' : 'm';
   // The execution tier is resolved at PrepareRewriteWork time and baked
-  // into the plan (grid cache, acyclic plan), so plans compiled under
-  // different forced tiers must never alias.
+  // into the plan (grid cache), so plans compiled under different forced
+  // tiers must never alias.
   sig += 'T';
   sig += std::to_string(o.force_tier);
   return sig;
@@ -318,7 +318,7 @@ RewriteResult ViewCatalog::Rewrite(const ConjunctiveQuery& query,
   CQAC_TRACE_SPAN("catalog.rewrite");
 
   // Explain runs bypass every cache: traces must be complete and are
-  // never replayed.  The classic driver still shares this catalog's
+  // never replayed.  A one-shot run still shares this catalog's
   // containment memo (verdicts are pure, so traces are unaffected).
   if (options.explain) {
     RewriteResult result =
@@ -327,19 +327,10 @@ RewriteResult ViewCatalog::Rewrite(const ConjunctiveQuery& query,
     return result;
   }
 
-  // Same shortcut as the drivers: a contradictory query computes nothing
-  // and the empty union is an equivalent rewriting.
-  if (!AcSolver::IsSatisfiable(query.comparisons())) {
-    RewriteResult result;
-    result.outcome = RewriteOutcome::kRewritingFound;
-    result.tier = 0;
-    result.tier_reason =
-        "query comparisons unsatisfiable; the rewriting is the empty union";
-    if (options.verify) {
-      result.verified = RewritingIsEquivalent(query, result.rewriting, views_);
-    }
-    result.catalog_epoch = epoch_;
-    return result;
+  if (std::optional<RewriteResult> empty =
+          RewriteUnsatisfiableQuery(query, views_, options)) {
+    empty->catalog_epoch = epoch_;
+    return *std::move(empty);
   }
 
   std::string semantic_key;
@@ -364,15 +355,9 @@ RewriteResult ViewCatalog::Rewrite(const ConjunctiveQuery& query,
   Phase1Memo* phase1 =
       options.phase1_dedup ? &plan->phase1_memo : nullptr;
 
-  RewriteResult result;
-  if (options.jobs == 1) {
-    result = RunPreparedRewriteSerial(plan->work, options,
-                                      &containment_memo_, phase1);
-    RecordRewriteMetrics(result.stats);
-  } else {
-    result = ParallelRewritePrepared(plan->work, options, &containment_memo_,
-                                     pool, /*report=*/nullptr, phase1);
-  }
+  RewriteResult result =
+      ParallelRewritePrepared(plan->work, options, &containment_memo_, pool,
+                              /*report=*/nullptr, phase1);
   result.catalog_epoch = epoch_;
 
   if (options_.semantic_cache && result.outcome != RewriteOutcome::kAborted) {

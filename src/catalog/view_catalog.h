@@ -145,9 +145,9 @@ class ViewCatalog {
   /// stats are byte-identical — but compiled view data, plans, the
   /// Phase-1 memo, and the semantic cache are reused across calls.
   ///
-  /// Driver-level options are honored per request: `jobs` selects serial
-  /// or parallel execution (`pool`, when non-null, supplies the threads),
-  /// `cancel` and `max_canonical_databases` bound the run, and
+  /// Driver-level options are honored per request: `jobs` selects inline
+  /// or pooled execution (`pool`, when non-null, supplies the threads for
+  /// jobs > 1), `cancel` and `max_canonical_databases` bound the run, and
   /// `phase1_dedup` gates use of the persistent Phase-1 memo.  Explain
   /// runs bypass every cache so traces stay complete; aborted or
   /// cancelled runs are never cached.

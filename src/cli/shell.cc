@@ -4,7 +4,6 @@
 #include <ostream>
 #include <sstream>
 
-#include "ast/hypergraph.h"
 #include "containment/cq_containment.h"
 #include "containment/cqac_containment.h"
 #include "engine/evaluate.h"
@@ -54,8 +53,6 @@ bool Shell::ProcessLine(const std::string& line) {
     CmdContained(args, /*equivalence=*/true);
   } else if (command == "minimize") {
     CmdMinimize(args);
-  } else if (command == "acyclic") {
-    CmdAcyclic(args);
   } else if (command == "fact") {
     CmdFact(args);
   } else if (command == "eval") {
@@ -163,10 +160,10 @@ void Shell::CmdRewrite(const std::string& args) {
       }
     } else if (flag.rfind("force-tier=", 0) == 0) {
       const std::string value = flag.substr(11);
-      if (value == "0" || value == "1" || value == "2" || value == "-1") {
+      if (value == "0" || value == "1" || value == "-1") {
         options.force_tier = std::stoi(value);
       } else {
-        out_ << "warning: force-tier expects 0, 1, 2 or -1; flag ignored\n";
+        out_ << "warning: force-tier expects 0, 1 or -1; flag ignored\n";
       }
     } else {
       out_ << "warning: unknown flag '" << flag << "' ignored\n";
@@ -214,8 +211,7 @@ void Shell::CmdRewrite(const std::string& args) {
   if (print_stats) {
     out_ << "tier: " << result.tier << " (" << result.tier_reason << "); "
          << result.stats.tier1_grid_hits << " grid hits, "
-         << result.stats.tier1_grid_misses << " grid misses, "
-         << result.stats.tier2_jointree_evals << " join-tree evals\n";
+         << result.stats.tier1_grid_misses << " grid misses\n";
     out_ << "phase-1: " << result.stats.canonical_databases
          << " databases visited, "
          << result.stats.canonical_databases -
@@ -255,7 +251,6 @@ void Shell::CmdRewrite(const std::string& args) {
          << ", \"tier_reason\": \"" << result.tier_reason << "\""
          << ", \"tier1_grid_hits\": " << result.stats.tier1_grid_hits
          << ", \"tier1_grid_misses\": " << result.stats.tier1_grid_misses
-         << ", \"tier2_jointree_evals\": " << result.stats.tier2_jointree_evals
          << ", \"enumeration_ns\": " << result.stats.enumeration_ns
          << ", \"freeze_ns\": " << result.stats.freeze_ns
          << ", \"phase1_ns\": " << result.stats.phase1_ns
@@ -333,12 +328,6 @@ void Shell::CmdMinimize(const std::string& args) {
   const ConjunctiveQuery minimized =
       q->IsPlainCQ() ? CqMinimize(*q) : FoldExistentialVariables(*q);
   out_ << minimized.ToString() << "\n";
-}
-
-void Shell::CmdAcyclic(const std::string& args) {
-  const std::optional<ConjunctiveQuery> q = Resolve(args);
-  if (!q.has_value()) return;
-  out_ << (IsAcyclic(*q) ? "acyclic" : "cyclic") << "\n";
 }
 
 void Shell::CmdFact(const std::string& args) {
@@ -420,14 +409,13 @@ void Shell::CmdHelp() {
           "  rewrite [flags]       find an equivalent rewriting\n"
           "                        flags: verify explain coalesce minimize\n"
           "                               stats json\n"
-          "                               jobs=N (0 = all cores, 1 = serial)\n"
-          "                               force-tier=N (0|1|2, -1 = auto)\n"
+          "                               jobs=N (0 = all cores, 1 = inline)\n"
+          "                               force-tier=N (0|1, -1 = auto)\n"
           "  contained-rewrite     union of contained rewritings\n"
           "  let <name> <rule>     bind a rule to a name\n"
           "  contained <n1> <n2>   containment test\n"
           "  equivalent <n1> <n2>  equivalence test\n"
           "  minimize <name>       minimize a rule\n"
-          "  acyclic <name>        GYO acyclicity check\n"
           "  fact <atom>.          insert a ground fact\n"
           "  eval <name|rule>      evaluate on the facts\n"
           "  eval-rewriting        evaluate the last rewriting\n"

@@ -29,7 +29,6 @@ namespace cqac {
 ///   contained <n1> <n2>    containment test between two named rules
 ///   equivalent <n1> <n2>   equivalence test
 ///   minimize <name>        fold/minimize a named rule
-///   acyclic <name>         GYO acyclicity check
 ///   fact <atom>.           insert a ground fact into the scratch database
 ///   eval <name|rule>       evaluate on the scratch database
 ///   eval-rewriting         evaluate the last rewriting on the database
@@ -43,7 +42,7 @@ class Shell {
   explicit Shell(std::ostream& out) : out_(out) {}
 
   /// Default worker-thread count for `rewrite` (0 = hardware concurrency,
-  /// 1 = serial); a per-command `jobs=N` flag overrides it.  Results are
+  /// 1 = inline); a per-command `jobs=N` flag overrides it.  Results are
   /// identical either way — only wall-clock changes.
   void set_default_jobs(int jobs) { default_jobs_ = jobs; }
 
@@ -79,7 +78,6 @@ class Shell {
   void CmdLet(const std::string& args);
   void CmdContained(const std::string& args, bool equivalence);
   void CmdMinimize(const std::string& args);
-  void CmdAcyclic(const std::string& args);
   void CmdFact(const std::string& args);
   void CmdEval(const std::string& args);
   void CmdEvalRewriting();

@@ -9,7 +9,6 @@
 #include "engine/canonical.h"
 #include "engine/coded_eval.h"
 #include "engine/evaluate.h"
-#include "engine/jointree.h"
 
 namespace cqac {
 
@@ -42,8 +41,7 @@ Substitution CollapseByOrder(const TotalOrder& order) {
 
 bool CqacContainedCanonical(const ConjunctiveQuery& q1,
                             const ConjunctiveQuery& q2,
-                            ContainmentStats* stats,
-                            const AcyclicPlan* q2_plan) {
+                            ContainmentStats* stats) {
   if (!AcSolver::IsSatisfiable(q1.comparisons())) return true;  // q1 empty.
   if (q1.head().arity() != q2.head().arity()) return false;
 
@@ -78,7 +76,6 @@ bool CqacContainedCanonical(const ConjunctiveQuery& q1,
 
   bool contained = true;
   OrderEnumerationStats enum_stats;
-  AcyclicPlan::Scratch jointree_scratch;
   ForEachSatisfyingOrderPruned(
       q1.AllVariables(), constants, q1.comparisons(), symmetry,
       [&](const TotalOrder& order, int64_t multiplicity) {
@@ -88,13 +85,9 @@ bool CqacContainedCanonical(const ConjunctiveQuery& q1,
         }
         const FlatInstance& inst = freezer.Freeze(order);
         const bool computes =
-            q2_plan != nullptr
-                ? q2_plan->Run(inst, freezer.frozen_head(), &jointree_scratch)
-                : (use_row_engine
-                       ? prepared.Run(inst, &freezer.frozen_head(), nullptr,
-                                      &scratch)
-                       : coded.Run(freezer, /*match_frozen_head=*/true,
-                                   nullptr));
+            use_row_engine
+                ? prepared.Run(inst, &freezer.frozen_head(), nullptr, &scratch)
+                : coded.Run(freezer, /*match_frozen_head=*/true, nullptr);
         if (!computes) {
           contained = false;
           return false;  // Counterexample found; stop enumerating.

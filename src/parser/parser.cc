@@ -169,49 +169,65 @@ class Lexer {
     return tok;
   }
 
+  bool AtDigit(size_t offset = 0) const {
+    return pos_ + offset < text_.size() &&
+           std::isdigit(static_cast<unsigned char>(text_[pos_ + offset]));
+  }
+
+  /// Consumes a run of digits into *value; false when the value overflows
+  /// int64_t (the digits are consumed either way).  Counts the digits into
+  /// *count when non-null.
+  bool LexDigits(int64_t* value, int* count = nullptr) {
+    bool fits = true;
+    while (AtDigit()) {
+      fits = fits && !__builtin_mul_overflow(*value, 10, value) &&
+             !__builtin_add_overflow(*value, text_[pos_] - '0', value);
+      if (count != nullptr) ++*count;
+      Advance();
+    }
+    return fits;
+  }
+
+  /// Integers, decimals (`2.5`) and `num/den` rationals, the form
+  /// Rational::ToString emits, so serialized comparisons round-trip.  A
+  /// literal that does not fit int64_t or divides by zero is an error
+  /// token, reported at the literal's position.
   Token LexNumber(Token tok) {
+    const size_t start = pos_;
     bool negative = false;
     if (text_[pos_] == '-' || text_[pos_] == '+') {
       negative = text_[pos_] == '-';
       Advance();
     }
-    int64_t integral = 0;
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      integral = integral * 10 + (text_[pos_] - '0');
-      Advance();
-    }
-    int64_t frac_num = 0;
-    int64_t frac_den = 1;
-    if (pos_ < text_.size() && text_[pos_] == '.' && pos_ + 1 < text_.size() &&
-        std::isdigit(static_cast<unsigned char>(text_[pos_ + 1]))) {
+    int64_t num = 0;
+    int64_t den = 1;
+    bool fits = LexDigits(&num);
+    if (pos_ < text_.size() && text_[pos_] == '.' && AtDigit(1)) {
       Advance();  // consume '.'
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        frac_num = frac_num * 10 + (text_[pos_] - '0');
-        frac_den *= 10;
-        Advance();
+      int64_t frac = 0;
+      int digits = 0;
+      fits = LexDigits(&frac, &digits) && fits;
+      for (int i = 0; i < digits; ++i) {
+        fits = fits && !__builtin_mul_overflow(den, 10, &den);
       }
-    }
-    Rational value =
-        Rational(integral) + Rational(frac_num, frac_den);
-    // `num/den` rational literals, the form Rational::ToString emits, so
-    // serialized comparisons round-trip through the parser.
-    if (frac_den == 1 && pos_ < text_.size() && text_[pos_] == '/' &&
-        pos_ + 1 < text_.size() &&
-        std::isdigit(static_cast<unsigned char>(text_[pos_ + 1]))) {
+      fits = fits && !__builtin_mul_overflow(num, den, &num) &&
+             !__builtin_add_overflow(num, frac, &num);
+    } else if (pos_ < text_.size() && text_[pos_] == '/' && AtDigit(1)) {
       Advance();  // consume '/'
-      int64_t denominator = 0;
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        denominator = denominator * 10 + (text_[pos_] - '0');
-        Advance();
-      }
-      if (denominator != 0) value = Rational(integral, denominator);
+      den = 0;
+      fits = LexDigits(&den) && fits;
     }
-    if (negative) value = -value;
+    if (!fits || den == 0) {
+      const std::string literal(text_.substr(start, pos_ - start));
+      tok.kind = TokKind::kError;
+      tok.text = !fits ? "numeric literal '" + literal +
+                             "' does not fit in a 64-bit integer"
+                       : "zero denominator in rational literal '" + literal +
+                             "'";
+      return tok;
+    }
     tok.kind = TokKind::kNumber;
-    tok.number = value;
+    tok.number = negative ? -Rational(num, den) : Rational(num, den);
     return tok;
   }
 
@@ -255,10 +271,13 @@ class RuleParser {
  private:
   void Consume() { current_ = lexer_.Next(); }
 
+  /// Records the first error at the current token.  A malformed token is
+  /// reported as the lexer saw it, not as whatever the grammar expected.
   bool Fail(const std::string& message) {
     if (error_.empty()) {
       error_ = "parse error at line " + std::to_string(current_.line) +
-               ", column " + std::to_string(current_.col) + ": " + message;
+               ", column " + std::to_string(current_.col) + ": " +
+               (current_.kind == TokKind::kError ? current_.text : message);
     }
     return false;
   }

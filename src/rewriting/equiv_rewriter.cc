@@ -128,7 +128,6 @@ void RewriteStats::Merge(const RewriteStats& other) {
   phase1_memo_misses += other.phase1_memo_misses;
   tier1_grid_hits += other.tier1_grid_hits;
   tier1_grid_misses += other.tier1_grid_misses;
-  tier2_jointree_evals += other.tier2_jointree_evals;
   enumeration_ns += other.enumeration_ns;
   freeze_ns += other.freeze_ns;
   phase1_ns += other.phase1_ns;
@@ -149,7 +148,6 @@ void RecordRewriteMetrics(const RewriteStats& stats) {
   registry.counter("phase1_memo.misses").Add(stats.phase1_memo_misses);
   registry.counter("tier1_grid.hits").Add(stats.tier1_grid_hits);
   registry.counter("tier1_grid.misses").Add(stats.tier1_grid_misses);
-  registry.counter("tier2.jointree_evals").Add(stats.tier2_jointree_evals);
 }
 
 RewriteWork PrepareRewriteWork(const ConjunctiveQuery& query,
@@ -208,12 +206,6 @@ RewriteWork PrepareRewriteWork(
     if (work.tier.tier != ExecutionTier::kGeneral) {
       work.grid_cache =
           std::make_shared<GridVerdictCache>(query.AllVariables());
-    }
-    if (work.tier.tier == ExecutionTier::kAcyclic) {
-      if (std::optional<AcyclicPlan> plan = AcyclicPlanFor(query)) {
-        work.acyclic_plan =
-            std::make_shared<const AcyclicPlan>(*std::move(plan));
-      }
     }
     if (obs::MetricsActive()) {
       obs::MetricsRegistry::Global()
@@ -288,7 +280,6 @@ static DatabaseOutcome ProcessCanonicalDatabaseImpl(const RewriteWork& work,
     // work_id matches (the plan pointer dies with the RewriteWork).
     std::optional<CodedEvaluator> coded;
     PreparedQuery::Scratch scratch;
-    AcyclicPlan::Scratch jointree;
     std::string grid_key;
   };
   static thread_local Phase1Cache cache;
@@ -317,7 +308,7 @@ static DatabaseOutcome ProcessCanonicalDatabaseImpl(const RewriteWork& work,
   {
     CQAC_TRACE_SPAN("phase1.freeze");
     const int64_t freeze_t0 = NowNs();
-    // T1/T2 grid cache: the keep verdict is a pure function of the
+    // T1 grid cache: the keep verdict is a pure function of the
     // order's grid class (soundness argument at GridVerdictCache), so a
     // cached skip needs neither the freeze nor the evaluation, and a
     // cached keep still freezes (downstream steps read the instance) but
@@ -343,10 +334,6 @@ static DatabaseOutcome ProcessCanonicalDatabaseImpl(const RewriteWork& work,
     const FlatInstance& inst = cache.freezer->Freeze(order);
     if (cached.has_value()) {
       computes_head = true;  // A cached keep verdict; skip the evaluation.
-    } else if (work.acyclic_plan != nullptr) {
-      computes_head = work.acyclic_plan->Run(
-          inst, cache.freezer->frozen_head(), &cache.jointree);
-      ++out.stats.tier2_jointree_evals;
     } else {
       computes_head =
           (use_row_engine || !cache.coded.has_value())
@@ -606,8 +593,7 @@ static Phase2Outcome CheckExpansionContainedImpl(const RewriteWork& work,
   }
   ContainmentStats cstats;
   Phase2Outcome out;
-  out.contained = CqacContainedCanonical(expansion, work.query, &cstats,
-                                         work.acyclic_plan.get());
+  out.contained = CqacContainedCanonical(expansion, work.query, &cstats);
   out.orders_enumerated = cstats.orders_enumerated;
   if (memo != nullptr) memo->Put(key, out.contained);
   return out;
@@ -690,165 +676,22 @@ void FinalizeFoundRewriting(const RewriteWork& work,
   }
 }
 
-RewriteResult EquivalentRewriter::Run() {
-  if (options_.jobs != 1) {
-    return ParallelRewrite(query_, views_, options_, memo_);
-  }
-  RewriteResult result = RunSerial();
-  RecordRewriteMetrics(result.stats);
-  return result;
-}
-
-RewriteResult RunPreparedRewriteSerial(const RewriteWork& work,
-                                       const RewriteOptions& driver,
-                                       MemoCache* memo,
-                                       Phase1Memo* phase1_memo) {
+std::optional<RewriteResult> RewriteUnsatisfiableQuery(
+    const ConjunctiveQuery& query, const ViewSet& views,
+    const RewriteOptions& options) {
+  if (AcSolver::IsSatisfiable(query.comparisons())) return std::nullopt;
   RewriteResult result;
-  result.stats.v0_variants = static_cast<int64_t>(work.v0_variants.size());
-  result.stats.mcds_formed = static_cast<int64_t>(work.mcds.size());
-  result.tier = static_cast<int>(work.tier.tier);
-  result.tier_reason = work.tier.reason;
-
-  const bool explain = work.options.explain;
-
-  // --- Phase 1: one Pre-Rewriting per kept canonical database ---
-
-  std::vector<ConjunctiveQuery> pre_rewritings;
-  std::set<std::string> pre_rewriting_keys;
-  bool failed = false;
-  bool aborted = false;
-  bool cancelled = false;
-
-  // With no external (catalog-scoped) memo, the Phase-1 memo lives and
-  // dies with this run (its entries index into `work`).
-  std::optional<Phase1Memo> local_memo;
-  if (phase1_memo == nullptr && driver.phase1_dedup && !explain) {
-    local_memo.emplace();
-    phase1_memo = &*local_memo;
+  result.outcome = RewriteOutcome::kRewritingFound;
+  result.tier_reason =
+      "query comparisons unsatisfiable; the rewriting is the empty union";
+  if (options.verify) {
+    result.verified = RewritingIsEquivalent(query, result.rewriting, views);
   }
-
-  const int64_t enumerate_t0 = NowNs();
-  {
-  CQAC_TRACE_SPAN("phase1.enumerate");
-  ForEachTotalOrder(
-      work.query.AllVariables(), work.constants,
-      [&](const TotalOrder& order) {
-        if (driver.cancel != nullptr && driver.cancel->cancelled()) {
-          cancelled = true;
-          return false;
-        }
-        ++result.stats.canonical_databases;
-        if (driver.max_canonical_databases >= 0 &&
-            result.stats.canonical_databases >
-                driver.max_canonical_databases) {
-          aborted = true;
-          return false;
-        }
-        DatabaseOutcome out =
-            ProcessCanonicalDatabase(work, order, phase1_memo);
-        result.stats.Merge(out.stats);
-        if (explain) {
-          result.trace.databases.push_back(std::move(out.trace));
-        }
-        if (out.status == DatabaseOutcome::Status::kFailed) {
-          failed = true;
-          result.failure_reason = std::move(out.failure_reason);
-          return false;
-        }
-        if (out.status == DatabaseOutcome::Status::kKept &&
-            pre_rewriting_keys.insert(out.pre_rewriting->ToString())
-                .second) {
-          pre_rewritings.push_back(*std::move(out.pre_rewriting));
-        }
-        return true;
-      });
-  }
-  result.stats.enumeration_ns = NowNs() - enumerate_t0;
-
-  if (cancelled) {
-    result.outcome = RewriteOutcome::kAborted;
-    result.failure_reason = kCancelledReason;
-    return result;
-  }
-  if (aborted) {
-    result.outcome = RewriteOutcome::kAborted;
-    result.failure_reason = "canonical database budget exceeded";
-    return result;
-  }
-  if (failed) {
-    result.outcome = RewriteOutcome::kNoRewriting;
-    return result;
-  }
-  if (pre_rewritings.empty()) {
-    // The query computes its head on no canonical database: impossible for
-    // a satisfiable safe query, but guard anyway.
-    result.outcome = RewriteOutcome::kNoRewriting;
-    result.failure_reason = "query computes its head on no canonical database";
-    return result;
-  }
-
-  // --- Phase 2 task (b): every expansion must be contained in the query ---
-
-  std::map<std::string, bool> phase2_verdicts;
-  bool phase2_failed = false;
-  for (const ConjunctiveQuery& pre : pre_rewritings) {
-    if (driver.cancel != nullptr && driver.cancel->cancelled()) {
-      result.outcome = RewriteOutcome::kAborted;
-      result.failure_reason = kCancelledReason;
-      return result;
-    }
-    ++result.stats.phase2_checks;
-    const Phase2Outcome check = CheckExpansionContained(work, pre, memo);
-    result.stats.phase2_orders += check.orders_enumerated;
-    result.stats.phase2_ns += check.wall_ns;
-    if (explain) phase2_verdicts[pre.ToString()] = check.contained;
-    if (!check.contained) {
-      result.outcome = RewriteOutcome::kNoRewriting;
-      result.failure_reason =
-          "expansion not contained in the query: " + pre.ToString();
-      phase2_failed = true;
-      break;
-    }
-  }
-  if (explain) {
-    for (CanonicalDatabaseTrace& db : result.trace.databases) {
-      if (db.status != "ok") continue;
-      auto it = phase2_verdicts.find(db.pre_rewriting);
-      if (it == phase2_verdicts.end()) continue;  // Unchecked after failure.
-      db.expansion_contained = it->second;
-      if (it->second) {
-        db.status = "ok";
-        result.trace.left_column.push_back(db.order);
-      } else {
-        db.status = "phase2-failed";
-        result.trace.right_column.push_back(db.order);
-      }
-    }
-  }
-  if (phase2_failed) return result;
-
-  FinalizeFoundRewriting(work, std::move(pre_rewritings), &result);
   return result;
 }
 
-RewriteResult EquivalentRewriter::RunSerial() {
-  // A query with contradictory comparisons computes nothing; the empty
-  // union is an equivalent rewriting.
-  if (!AcSolver::IsSatisfiable(query_.comparisons())) {
-    RewriteResult result;
-    result.outcome = RewriteOutcome::kRewritingFound;
-    result.tier = 0;
-    result.tier_reason =
-        "query comparisons unsatisfiable; the rewriting is the empty union";
-    if (options_.verify) {
-      result.verified =
-          RewritingIsEquivalent(query_, result.rewriting, views_);
-    }
-    return result;
-  }
-
-  const RewriteWork work = PrepareRewriteWork(query_, views_, options_);
-  return RunPreparedRewriteSerial(work, options_, memo_, nullptr);
+RewriteResult EquivalentRewriter::Run() {
+  return ParallelRewrite(query_, views_, options_, memo_);
 }
 
 RewriteResult FindEquivalentRewriting(const ConjunctiveQuery& query,

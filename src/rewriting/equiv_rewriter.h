@@ -11,7 +11,6 @@
 #include "ast/query.h"
 #include "constraints/orders.h"
 #include "engine/evaluate.h"
-#include "engine/jointree.h"
 #include "rewriting/explain.h"
 #include "rewriting/minicon.h"
 #include "rewriting/structure.h"
@@ -89,17 +88,17 @@ struct RewriteOptions {
   int64_t max_canonical_databases = -1;
 
   /// Worker threads for the canonical-database fan-out and the Phase-2
-  /// containment checks.  1 (the default) runs the classic serial loop;
-  /// 0 means std::thread::hardware_concurrency(); any other value is the
-  /// thread count of the runtime/parallel_rewriter driver.  Results are
-  /// byte-identical to the serial path regardless of the value (with a
-  /// memo cache, the work counter stats.phase2_orders may differ; see
-  /// runtime/parallel_rewriter.h).
+  /// containment checks of the runtime/parallel_rewriter driver.  1 (the
+  /// default; also any negative value) runs every task inline on the
+  /// caller's thread; 0 means std::thread::hardware_concurrency(); any
+  /// other value is the pool's thread count.  Results are byte-identical
+  /// regardless of the value (with a memo cache, the work counter
+  /// stats.phase2_orders may differ; see runtime/parallel_rewriter.h).
   int jobs = 1;
 
   /// Pins the execution tier chosen by the structural classifier
-  /// (rewriting/structure.h): -1 (the default) routes automatically; 0, 1
-  /// or 2 force that tier *when its eligibility precondition holds* and
+  /// (rewriting/structure.h): -1 (the default) routes automatically; 0 or
+  /// 1 force that tier *when its eligibility precondition holds* and
   /// fall back to the general path otherwise, so a forced sweep over an
   /// arbitrary corpus stays sound.  A testing hook — tiers are
   /// byte-compatible on results, so forcing only changes speed and the
@@ -109,7 +108,7 @@ struct RewriteOptions {
 
   /// Cooperative cancellation (runtime/cancellation.h), the mechanism
   /// behind per-request deadlines in the rewrite service.  When non-null,
-  /// both drivers poll the token at canonical-database and Phase-2
+  /// the driver polls the token at canonical-database and Phase-2
   /// containment-check boundaries and abort with outcome kAborted and
   /// failure_reason "cancelled" as soon as it is set.  Abort latency is
   /// therefore bounded by one work unit (one ProcessCanonicalDatabase or
@@ -136,17 +135,16 @@ struct RewriteStats {
   int64_t phase1_memo_hits = 0;          // databases served from the memo
   int64_t phase1_memo_misses = 0;        // databases computed in full
 
-  // Tier-engine counters (rewriting/structure.h).  The T1/T2 grid
-  // hit/miss split is schedule-dependent under the parallel driver (like
-  // the phase1_memo split) and excluded from differential signatures;
-  // all three are zero on a T0 run.
-  int64_t tier1_grid_hits = 0;       // keep verdicts replayed from the cache
-  int64_t tier1_grid_misses = 0;     // grid classes evaluated in full
-  int64_t tier2_jointree_evals = 0;  // keep tests run on the AcyclicPlan
+  // Tier-engine counters (rewriting/structure.h).  The T1 grid hit/miss
+  // split is schedule-dependent under the pool (like the phase1_memo
+  // split) and excluded from differential signatures; both are zero on a
+  // T0 run.
+  int64_t tier1_grid_hits = 0;    // keep verdicts replayed from the cache
+  int64_t tier1_grid_misses = 0;  // grid classes evaluated in full
 
   // Per-phase wall time, in nanoseconds of std::chrono::steady_clock.
-  // Accumulated element-wise through Merge like every other field, so the
-  // serial and parallel paths aggregate them identically — the *values*
+  // Accumulated element-wise through Merge like every other field, so
+  // inline and pooled runs aggregate them identically — the *values*
   // are wall-clock measurements and naturally vary run to run.  The
   // work-summed fields (freeze/phase1/phase2) add up per-unit durations
   // across all workers, so on a parallel run phase1_ns can exceed
@@ -156,9 +154,9 @@ struct RewriteStats {
   int64_t phase1_ns = 0;       // sum: full ProcessCanonicalDatabase calls
   int64_t phase2_ns = 0;       // sum: CheckExpansionContained calls
 
-  /// Element-wise accumulation.  Both the serial loop and the parallel
-  /// driver build their totals exclusively through Merge, so equal work
-  /// yields equal counters regardless of thread count.
+  /// Element-wise accumulation.  The driver builds its totals exclusively
+  /// through Merge, so equal work yields equal counters regardless of
+  /// thread count.
   void Merge(const RewriteStats& other);
 };
 
@@ -176,7 +174,9 @@ struct RewriteStats {
 /// `counters` object caught up with the per-rewrite shape (tier fields
 /// included) and responses carry top-level `trace_id` / `tier`
 /// (server/protocol.h, docs/SERVICE.md).
-inline constexpr int kStatsJsonSchemaVersion = 5;
+/// v6: `tier2_jointree_evals` removed from every record with the join-tree
+/// tier; `tier` is 0 or 1.
+inline constexpr int kStatsJsonSchemaVersion = 6;
 
 enum class RewriteOutcome {
   kRewritingFound,
@@ -215,7 +215,7 @@ struct RewriteResult {
   uint64_t catalog_epoch = 0;
 
   /// The execution tier the run was routed to (0 = general, 1 =
-  /// semi-interval, 2 = acyclic core) and the classifier's explanation.
+  /// semi-interval) and the classifier's explanation.
   /// Purely observational: tiers are byte-compatible on everything above.
   int tier = 0;
   std::string tier_reason;
@@ -227,9 +227,10 @@ struct RewriteResult {
 // The algorithm decomposes into an immutable per-run context plus two kinds
 // of independent, side-effect-free work units: one per canonical database
 // (Phase 1 steps 2-3.7) and one per Pre-Rewriting (the Phase-2 containment
-// check).  The serial EquivalentRewriter::Run and the parallel driver in
-// runtime/parallel_rewriter.cc are both thin schedulers over these units,
-// which is what makes their outputs byte-identical by construction.
+// check).  The driver in runtime/parallel_rewriter.cc schedules these units
+// inline (jobs=1) or on a thread pool and merges their outcomes in one
+// fixed order, which is what makes its output byte-identical across
+// thread counts by construction.
 // ---------------------------------------------------------------------------
 
 /// The database-independent setup of one run (Section 3.2): the stripped
@@ -273,13 +274,9 @@ struct RewriteWork {
   /// triple, resolved against options.force_tier (rewriting/structure.h).
   TierDecision tier;
 
-  /// T1/T2 only: keep-test verdicts keyed by grid class, shared by all
+  /// T1 only: keep-test verdicts keyed by grid class, shared by all
   /// workers of a run and, through a catalog plan, across requests.
   std::shared_ptr<GridVerdictCache> grid_cache;
-
-  /// T2 only: the compiled join-tree evaluator replacing the general
-  /// keep-test and Phase-2 per-order evaluation (engine/jointree.h).
-  std::shared_ptr<const AcyclicPlan> acyclic_plan;
 };
 
 /// Builds the shared setup.  Deterministic for fixed inputs.
@@ -299,32 +296,18 @@ RewriteWork PrepareRewriteWork(
     const std::vector<ConjunctiveQuery>* precompiled_v0,
     const std::vector<Rational>* view_constants);
 
-/// Phases 1-2 plus finalization over a prebuilt work context — the serial
-/// loop of EquivalentRewriter::RunSerial, factored out so a ViewCatalog
-/// can run many requests over one compiled, long-lived RewriteWork.
-///
-/// Phase semantics (pruning, simplification, explain, ...) come from
-/// work.options; `driver` supplies only the scheduling-level knobs read
-/// per request: `cancel` and `max_canonical_databases` (and
-/// `phase1_dedup`, below).  For the classic one-shot path the two are the
-/// same object.
-///
-/// `phase1_memo`, when non-null, must belong to `work` (its entries index
-/// work.mcds) and may persist across calls — that is the catalog-scoped
-/// cross-request Phase-1 memo.  When null, a run-local memo is created
-/// per driver.phase1_dedup, reproducing the classic behavior.
-///
-/// The caller must have handled the unsatisfiable-query shortcut; this
-/// function assumes work was built from a satisfiable query.
-RewriteResult RunPreparedRewriteSerial(const RewriteWork& work,
-                                       const RewriteOptions& driver,
-                                       MemoCache* memo,
-                                       Phase1Memo* phase1_memo);
+/// The shortcut every entry point takes before building a RewriteWork: a
+/// query whose comparisons are contradictory computes nothing, so the
+/// empty union is an equivalent rewriting.  Returns that result (verified
+/// when options.verify), or nullopt when the query's comparisons are
+/// satisfiable.
+std::optional<RewriteResult> RewriteUnsatisfiableQuery(
+    const ConjunctiveQuery& query, const ViewSet& views,
+    const RewriteOptions& options);
 
 /// Folds a finished run's counters into the global metrics registry
 /// (obs/metrics.h): rewrite.* counters plus the Phase-1 memo hit/miss
-/// split.  No-op unless obs::MetricsActive(); called by both the serial
-/// loop and the parallel driver.
+/// split.  No-op unless obs::MetricsActive(); called by the driver.
 void RecordRewriteMetrics(const RewriteStats& stats);
 
 /// What Phase 1 concluded about one canonical database.
@@ -345,7 +328,7 @@ struct DatabaseOutcome {
   /// constraints); set iff status == kKept.
   std::optional<ConjunctiveQuery> pre_rewriting;
 
-  /// Set iff status == kFailed; identical wording to the serial path.
+  /// Set iff status == kFailed.
   std::string failure_reason;
 
   /// Per-database trace; populated iff options.explain.
@@ -382,10 +365,9 @@ Phase2Outcome CheckExpansionContained(const RewriteWork& work,
                                       const ConjunctiveQuery& pre,
                                       MemoCache* memo);
 
-/// The post-Phase-2 tail shared by the serial and parallel drivers:
-/// coalescing, the weakened-pruning Lemma-2 check, output minimization,
-/// and optional verification.  Sets result->outcome / rewriting /
-/// verified / failure_reason.
+/// The post-Phase-2 tail of the driver: coalescing, the weakened-pruning
+/// Lemma-2 check, output minimization, and optional verification.  Sets
+/// result->outcome / rewriting / verified / failure_reason.
 void FinalizeFoundRewriting(const RewriteWork& work,
                             std::vector<ConjunctiveQuery> pre_rewritings,
                             RewriteResult* result);
@@ -414,15 +396,13 @@ class EquivalentRewriter {
         options_(options),
         memo_(memo) {}
 
-  /// Runs the algorithm.  Deterministic for fixed inputs; with
-  /// options.jobs != 1 the run is delegated to the parallel driver, whose
-  /// result is byte-identical to the serial one (modulo the memo-cache
-  /// caveat in runtime/parallel_rewriter.h).
+  /// Runs the algorithm through ParallelRewrite (inline when
+  /// options.jobs == 1).  Deterministic for fixed inputs and identical for
+  /// every thread count (modulo the memo-cache caveat in
+  /// runtime/parallel_rewriter.h).
   RewriteResult Run();
 
  private:
-  RewriteResult RunSerial();
-
   ConjunctiveQuery query_;
   ViewSet views_;
   RewriteOptions options_;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <functional>
 
-#include "ast/hypergraph.h"
-
 namespace cqac {
 
 namespace {
@@ -41,8 +39,6 @@ const char* TierName(ExecutionTier tier) {
       return "tier0";
     case ExecutionTier::kSemiInterval:
       return "tier1";
-    case ExecutionTier::kAcyclic:
-      return "tier2";
   }
   return "tier?";
 }
@@ -59,21 +55,12 @@ TierDecision ClassifyStructure(const ConjunctiveQuery& query,
   d.semi_interval_eligible =
       query_var_var == nullptr && view_var_var == nullptr;
 
-  const bool comparison_free = ComparisonFree(query, views);
-  d.acyclic_eligible =
-      comparison_free && !query.body().empty() && IsAcyclic(query);
-
-  if (d.acyclic_eligible) {
-    d.tier = ExecutionTier::kAcyclic;
-    d.reason =
-        "comparison-free query and views with a GYO-acyclic hypergraph: "
-        "join-tree keep test plus grid verdict cache";
-  } else if (d.semi_interval_eligible) {
+  if (d.semi_interval_eligible) {
     d.tier = ExecutionTier::kSemiInterval;
-    if (comparison_free) {
+    if (ComparisonFree(query, views)) {
       d.reason =
-          "comparison-free but the query hypergraph is cyclic: grid "
-          "verdict cache without the join-tree engine";
+          "comparison-free query and views (vacuously semi-interval): "
+          "keep-test verdicts cached per constant-grid class";
     } else {
       d.reason =
           "every comparison on the query and views is var-vs-const "
@@ -107,16 +94,6 @@ TierDecision ResolveTier(const TierDecision& classified, int force_tier) {
       } else {
         d.tier = ExecutionTier::kGeneral;
         d.reason = "forced tier1 ineligible (" + classified.reason +
-                   "); falling back to the general path";
-      }
-      return d;
-    case 2:
-      if (classified.acyclic_eligible) {
-        d.tier = ExecutionTier::kAcyclic;
-        d.reason = "forced tier2 (--force-tier 2; acyclic eligible)";
-      } else {
-        d.tier = ExecutionTier::kGeneral;
-        d.reason = "forced tier2 ineligible (" + classified.reason +
                    "); falling back to the general path";
       }
       return d;

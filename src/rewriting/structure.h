@@ -31,20 +31,14 @@ namespace cqac {
 ///    cell relative to the sorted constant grid (below / at / between /
 ///    above), ignoring how blocks are ranked within a cell — so verdicts
 ///    are cached per class and the factorial intra-cell block sweep is
-///    paid once per class instead of once per order.
-///  * T2 (acyclic core): the query and views are comparison-free and the
-///    query hypergraph is GYO-acyclic (Geck et al.: acyclic rewriting
-///    machinery).  The keep test and the Phase-2 per-order evaluation run
-///    on a join-tree semi-join plan (engine/jointree.h) instead of the
-///    general homomorphism search; the grid cache applies vacuously
-///    (zero comparisons), compounding the two savings.
+///    paid once per class instead of once per order.  Comparison-free
+///    inputs are vacuously semi-interval and route here too.
 enum class ExecutionTier {
   kGeneral = 0,
   kSemiInterval = 1,
-  kAcyclic = 2,
 };
 
-/// "tier0" / "tier1" / "tier2".
+/// "tier0" / "tier1".
 const char* TierName(ExecutionTier tier);
 
 /// The classifier's verdict for one (query, views) pair.
@@ -53,22 +47,18 @@ struct TierDecision {
 
   /// Human-readable routing explanation, surfaced as `tier_reason` in
   /// stats/JSON: why this tier fired, or which structural feature blocked
-  /// the faster ones (the first variable-variable comparison, the cyclic
-  /// hypergraph, a forced-tier fallback).
+  /// the faster one (the first variable-variable comparison, a forced-tier
+  /// fallback).
   std::string reason;
 
   /// Raw eligibility, independent of the final routing: used by
   /// ResolveTier to honor or reject a forced tier.
   bool semi_interval_eligible = false;
-  bool acyclic_eligible = false;
 };
 
-/// Classifies the pair structurally (no forcing): T2 when the query and
-/// every view are comparison-free and the query hypergraph is acyclic,
-/// else T1 when every comparison on the query and the views is
-/// variable-vs-constant, else T0.  Comparison-free inputs are vacuously
-/// semi-interval-eligible, so a cyclic comparison-free query still gets
-/// the T1 grid cache.
+/// Classifies the pair structurally (no forcing): T1 when every
+/// comparison on the query and the views is variable-vs-constant
+/// (vacuously so when there are none), else T0.
 TierDecision ClassifyStructure(const ConjunctiveQuery& query,
                                const ViewSet& views);
 
@@ -79,7 +69,7 @@ TierDecision ClassifyStructure(const ConjunctiveQuery& query,
 /// arbitrary corpus sound by construction.  `force_tier` < 0 means auto.
 TierDecision ResolveTier(const TierDecision& classified, int force_tier);
 
-/// The T1/T2 keep-test verdict cache, keyed by grid class.
+/// The T1 keep-test verdict cache, keyed by grid class.
 ///
 /// Soundness (why the verdict is a pure function of the key): fix two
 /// orders O1, O2 with the same variable partition and the same cell per

@@ -194,8 +194,6 @@ void WriteBatchFooter(std::ostream& out, const BatchSummary& summary,
         << ", \"phase1_memo_misses\": " << summary.rewrite.phase1_memo_misses
         << ", \"tier1_grid_hits\": " << summary.rewrite.tier1_grid_hits
         << ", \"tier1_grid_misses\": " << summary.rewrite.tier1_grid_misses
-        << ", \"tier2_jointree_evals\": "
-        << summary.rewrite.tier2_jointree_evals
         << ", \"enumeration_ns\": " << summary.rewrite.enumeration_ns
         << ", \"freeze_ns\": " << summary.rewrite.freeze_ns
         << ", \"phase1_ns\": " << summary.rewrite.phase1_ns
@@ -229,7 +227,7 @@ BatchSummary RunBatch(std::istream& in, std::ostream& out,
     return summary;
   }
 
-  // Each job runs the serial rewriter on one worker; the shared memo
+  // Each job runs the rewriter inline on one worker; the shared memo
   // cache carries containment verdicts across jobs, so repeated or
   // near-duplicate jobs in a batch get cheaper as the batch proceeds.
   RewriteOptions per_job = options.rewrite;

@@ -13,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "constraints/ac_solver.h"
 #include "constraints/orders.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -70,9 +69,9 @@ struct Phase2Slot {
   Phase2Outcome outcome;
 };
 
-/// After a run, folds the parallel-specific counters into the global
-/// metrics registry.  `RecordRewriteMetrics` handles the stats shared
-/// with the serial path; this adds what only the parallel driver knows.
+/// After a run, folds the scheduling counters into the global metrics
+/// registry.  `RecordRewriteMetrics` handles the RewriteStats; this adds
+/// what only the driver knows.
 void RecordParallelMetrics(const ParallelRewriteReport& report) {
   if (!obs::MetricsActive()) return;
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
@@ -95,15 +94,23 @@ RewriteResult ParallelRewritePreparedImpl(const RewriteWork& work,
   RewriteResult result;
   const bool explain = work.options.explain;
 
-  // Own a pool only if the caller did not share one.
+  // jobs=1 runs every task inline on the caller's thread, even when a pool
+  // is passed in: a pool worker calling with its own pool must not block
+  // on tasks queued behind itself.  The inline path builds no pool, no
+  // std::function tasks and no order slots, and it replays outcomes
+  // through the same merge as the fan-out, so both schedules produce the
+  // same result by construction.
+  const bool run_inline = ThreadPool::ResolveJobs(options.jobs) == 1;
   std::unique_ptr<ThreadPool> owned_pool;
-  if (pool == nullptr) {
+  if (run_inline) {
+    pool = nullptr;
+  } else if (pool == nullptr) {
     owned_pool =
         std::make_unique<ThreadPool>(ThreadPool::ResolveJobs(options.jobs));
     pool = owned_pool.get();
   }
-  report->jobs = pool->num_threads();
-  const int64_t stolen_before = pool->tasks_stolen();
+  report->jobs = run_inline ? 1 : pool->num_threads();
+  const int64_t stolen_before = run_inline ? 0 : pool->tasks_stolen();
 
   result.stats.v0_variants = static_cast<int64_t>(work.v0_variants.size());
   result.stats.mcds_formed = static_cast<int64_t>(work.mcds.size());
@@ -113,10 +120,10 @@ RewriteResult ParallelRewritePreparedImpl(const RewriteWork& work,
   // One Phase-1 memo per run unless the caller passed a catalog-scoped
   // one, shared by every worker (sharded; first writer wins).  Which
   // worker takes the miss for a given structural key races, so the
-  // per-database hit/miss *split* can differ from the serial run's — but
+  // per-database hit/miss *split* can differ between schedules — but
   // every replayed conclusion is verified against the full key, so
   // outcomes, Pre-Rewritings, and the hit+miss total are byte-identical
-  // to serial.
+  // to the inline run.
   std::optional<Phase1Memo> phase1_memo;
   if (external_p1_memo == nullptr && options.phase1_dedup && !explain) {
     phase1_memo.emplace();
@@ -126,20 +133,22 @@ RewriteResult ParallelRewritePreparedImpl(const RewriteWork& work,
           ? external_p1_memo
           : (phase1_memo ? &*phase1_memo : nullptr);
 
-  // --- Phase 1 fan-out: one task per canonical database, streamed ---
+  // --- Phase 1: one task per canonical database, streamed ---
   //
   // The number of total orders is factorial in |variables| + |constants|,
-  // and the serial loop streams them with O(1) memory.  Materializing the
-  // whole worklist before submitting could therefore OOM before any task
-  // runs when no database budget is set, so only a bounded window of
-  // orders is ever in flight: the main thread enumerates lazily, submits
-  // index i into ring slot i % window, and merges completed slots in
-  // enumeration order — the ordered merge replays the serial loop — to
-  // free them for reuse.  The serial path aborts upon *enumerating*
-  // database max+1, after fully processing the first max; the streaming
-  // loop reproduces that by stopping enumeration at the budget.
+  // so orders are streamed with O(1) memory.  Materializing the whole
+  // worklist before submitting could OOM before any task runs when no
+  // database budget is set, so the fan-out keeps only a bounded window of
+  // orders in flight: the main thread enumerates lazily, submits index i
+  // into ring slot i % window, and merges completed slots in enumeration
+  // order to free them for reuse.  The inline path merges each outcome as
+  // soon as it is computed.  Either way the run aborts upon *enumerating*
+  // database max+1, after fully processing the first max.
   const int64_t window =
-      std::max<int64_t>(static_cast<int64_t>(pool->num_threads()) * 8, 64);
+      run_inline
+          ? 0
+          : std::max<int64_t>(static_cast<int64_t>(pool->num_threads()) * 8,
+                              64);
   std::vector<DbSlot> db_slots(static_cast<size_t>(window));
   std::mutex win_mu;
   std::condition_variable win_cv;
@@ -151,18 +160,33 @@ RewriteResult ParallelRewritePreparedImpl(const RewriteWork& work,
 
   std::vector<ConjunctiveQuery> pre_rewritings;
   std::set<std::string> pre_rewriting_keys;
-  int64_t submitted = 0;  // tasks handed to the pool
-  int64_t merged = 0;     // slots replayed into the result, in order
+  int64_t submitted = 0;  // tasks run inline or handed to the pool
+  int64_t merged = 0;     // outcomes replayed into the result, in order
   bool failed = false;
   bool abort_pending = false;
   const CancellationToken* const cancel = options.cancel;
 
+  // Folds one database's outcome into the result, in enumeration order:
+  // stats, trace, dedup, first-failure capture.
+  const auto replay = [&](DatabaseOutcome& outcome) {
+    ++result.stats.canonical_databases;
+    result.stats.Merge(outcome.stats);
+    if (explain) result.trace.databases.push_back(std::move(outcome.trace));
+    if (outcome.status == DatabaseOutcome::Status::kFailed) {
+      failed = true;
+      result.failure_reason = std::move(outcome.failure_reason);
+    } else if (outcome.status == DatabaseOutcome::Status::kKept &&
+               pre_rewriting_keys.insert(outcome.pre_rewriting->ToString())
+                   .second) {
+      pre_rewritings.push_back(*std::move(outcome.pre_rewriting));
+    }
+  };
+
   // Waits for the task at enumeration index `merged` and frees its slot.
-  // When `replay` is set, first reproduces the serial loop's handling of
-  // the outcome (stats, trace, dedup, first-failure capture); after a
-  // failure the remaining in-flight slots are drained without replaying,
-  // exactly as the serial loop never visits them.
-  const auto consume_next = [&](bool replay) {
+  // When `replay_it` is set, first replays the outcome; after a failure
+  // the remaining in-flight slots are drained without replaying, exactly
+  // as the inline loop never reaches them.
+  const auto consume_next = [&](bool replay_it) {
     DbSlot& slot = db_slots[static_cast<size_t>(merged % window)];
     {
       std::unique_lock<std::mutex> lock(win_mu);
@@ -170,23 +194,7 @@ RewriteResult ParallelRewritePreparedImpl(const RewriteWork& work,
       slot.done = false;
     }
     ++merged;
-    if (!replay) {
-      slot.outcome = DatabaseOutcome();
-      return;
-    }
-    ++result.stats.canonical_databases;
-    result.stats.Merge(slot.outcome.stats);
-    if (explain) {
-      result.trace.databases.push_back(std::move(slot.outcome.trace));
-    }
-    if (slot.outcome.status == DatabaseOutcome::Status::kFailed) {
-      failed = true;
-      result.failure_reason = std::move(slot.outcome.failure_reason);
-    } else if (slot.outcome.status == DatabaseOutcome::Status::kKept &&
-               pre_rewriting_keys.insert(slot.outcome.pre_rewriting->ToString())
-                   .second) {
-      pre_rewritings.push_back(*std::move(slot.outcome.pre_rewriting));
-    }
+    if (replay_it) replay(slot.outcome);
     slot.outcome = DatabaseOutcome();
   };
 
@@ -204,10 +212,19 @@ RewriteResult ParallelRewritePreparedImpl(const RewriteWork& work,
             abort_pending = true;
             return false;
           }
+          if (run_inline) {
+            DatabaseOutcome outcome =
+                ProcessCanonicalDatabase(work, order, p1_memo);
+            db_executed.fetch_add(1, std::memory_order_relaxed);
+            ++submitted;
+            ++merged;
+            replay(outcome);
+            return !failed;
+          }
           // Reusing ring slot i % window requires its previous occupant
           // (index i - window) to have been merged first.
           while (submitted - merged >= window) {
-            consume_next(/*replay=*/true);
+            consume_next(/*replay_it=*/true);
             if (failed) return false;
           }
           const int64_t i = submitted;
@@ -216,7 +233,7 @@ RewriteResult ParallelRewritePreparedImpl(const RewriteWork& work,
             DbSlot& slot = db_slots[static_cast<size_t>(i % window)];
             // First failing D_i cancels everything past it; work at or
             // below the cutoff must still run so the merge reproduces
-            // the serial prefix (see PrefixCancel).
+            // the in-order prefix (see PrefixCancel).
             if (db_cancel.ShouldRun(i) &&
                 (cancel == nullptr || !cancel->cancelled())) {
               slot.outcome =
@@ -245,20 +262,22 @@ RewriteResult ParallelRewritePreparedImpl(const RewriteWork& work,
 
     // Replay the tail in order; after a failure only drain, never replay —
     // every submitted task must finish before its captured state dies.
-    while (merged < submitted) consume_next(/*replay=*/!failed);
+    while (merged < submitted) consume_next(/*replay_it=*/!failed);
   }
   result.stats.enumeration_ns = NowNs() - enumerate_t0;
 
   report->db_tasks_total = submitted;
   report->db_tasks_executed = db_executed.load();
   report->db_tasks_cancelled = submitted - report->db_tasks_executed;
-  report->tasks_stolen = pool->tasks_stolen() - stolen_before;
-  if (obs::MetricsActive()) {
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-    reg.gauge("threadpool.max_queue_depth").Max(pool->max_queue_depth());
-    const int64_t fail_ns = first_fail_ns.load(std::memory_order_relaxed);
-    if (fail_ns != 0) {
-      reg.histogram("parallel.cancel_drain_ns").Observe(NowNs() - fail_ns);
+  if (pool != nullptr) {
+    report->tasks_stolen = pool->tasks_stolen() - stolen_before;
+    if (obs::MetricsActive()) {
+      obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+      reg.gauge("threadpool.max_queue_depth").Max(pool->max_queue_depth());
+      const int64_t fail_ns = first_fail_ns.load(std::memory_order_relaxed);
+      if (fail_ns != 0) {
+        reg.histogram("parallel.cancel_drain_ns").Observe(NowNs() - fail_ns);
+      }
     }
   }
 
@@ -277,20 +296,21 @@ RewriteResult ParallelRewritePreparedImpl(const RewriteWork& work,
     return result;
   }
   if (abort_pending) {
-    // The serial loop counts the abort-triggering database before
-    // stopping.
+    // The abort-triggering database counts as enumerated.
     ++result.stats.canonical_databases;
     result.outcome = RewriteOutcome::kAborted;
     result.failure_reason = "canonical database budget exceeded";
     return result;
   }
   if (pre_rewritings.empty()) {
+    // The query computes its head on no canonical database: impossible
+    // for a satisfiable safe query, but guard anyway.
     result.outcome = RewriteOutcome::kNoRewriting;
     result.failure_reason = "query computes its head on no canonical database";
     return result;
   }
 
-  // --- Phase 2 fan-out: one containment check per Pre-Rewriting ---
+  // --- Phase 2: one containment check per Pre-Rewriting ---
 
   const int64_t num_pres = static_cast<int64_t>(pre_rewritings.size());
   report->phase2_tasks_total = num_pres;
@@ -298,42 +318,51 @@ RewriteResult ParallelRewritePreparedImpl(const RewriteWork& work,
   PrefixCancel p2_cancel;
   std::atomic<int64_t> p2_executed{0};
   std::atomic<int64_t> p2_first_fail_ns{0};
-  {
+  const auto run_check = [&](int64_t i) {
+    if (!p2_cancel.ShouldRun(i) ||
+        (cancel != nullptr && cancel->cancelled())) {
+      return;
+    }
+    Phase2Slot& slot = p2_slots[static_cast<size_t>(i)];
+    slot.outcome = CheckExpansionContained(work, pre_rewritings[i], memo);
+    slot.executed = true;
+    p2_executed.fetch_add(1, std::memory_order_relaxed);
+    if (!slot.outcome.contained) {
+      p2_cancel.FailAt(i);
+      if (pool != nullptr && obs::MetricsActive()) {
+        int64_t expected = 0;
+        p2_first_fail_ns.compare_exchange_strong(expected, NowNs(),
+                                                 std::memory_order_relaxed);
+      }
+    }
+  };
+  if (run_inline) {
+    for (int64_t i = 0; i < num_pres; ++i) {
+      run_check(i);
+      // A skipped (cancelled) check reads as not contained.
+      if (!p2_slots[static_cast<size_t>(i)].outcome.contained) break;
+    }
+  } else {
     Latch latch(num_pres);
     for (int64_t i = 0; i < num_pres; ++i) {
       pool->Submit([&, i] {
-        if (p2_cancel.ShouldRun(i) &&
-            (cancel == nullptr || !cancel->cancelled())) {
-          Phase2Slot& slot = p2_slots[static_cast<size_t>(i)];
-          slot.outcome =
-              CheckExpansionContained(work, pre_rewritings[i], memo);
-          slot.executed = true;
-          p2_executed.fetch_add(1, std::memory_order_relaxed);
-          if (!slot.outcome.contained) {
-            p2_cancel.FailAt(i);
-            if (obs::MetricsActive()) {
-              int64_t expected = 0;
-              p2_first_fail_ns.compare_exchange_strong(
-                  expected, NowNs(), std::memory_order_relaxed);
-            }
-          }
-        }
+        run_check(i);
         latch.Done();
       });
     }
     latch.Wait();
-  }
-  if (obs::MetricsActive()) {
-    const int64_t fail_ns = p2_first_fail_ns.load(std::memory_order_relaxed);
-    if (fail_ns != 0) {
-      obs::MetricsRegistry::Global()
-          .histogram("parallel.cancel_drain_ns")
-          .Observe(NowNs() - fail_ns);
+    if (obs::MetricsActive()) {
+      const int64_t fail_ns = p2_first_fail_ns.load(std::memory_order_relaxed);
+      if (fail_ns != 0) {
+        obs::MetricsRegistry::Global()
+            .histogram("parallel.cancel_drain_ns")
+            .Observe(NowNs() - fail_ns);
+      }
     }
+    report->tasks_stolen = pool->tasks_stolen() - stolen_before;
   }
   report->phase2_tasks_executed = p2_executed.load();
   report->phase2_tasks_cancelled = num_pres - report->phase2_tasks_executed;
-  report->tasks_stolen = pool->tasks_stolen() - stolen_before;
 
   // Same ordering argument as after Phase 1: a token observed by any
   // Phase-2 task means some slots hold no verdict.
@@ -373,7 +402,6 @@ RewriteResult ParallelRewritePreparedImpl(const RewriteWork& work,
       if (it == phase2_verdicts.end()) continue;  // Unchecked after failure.
       db.expansion_contained = it->second;
       if (it->second) {
-        db.status = "ok";
         result.trace.left_column.push_back(db.order);
       } else {
         db.status = "phase2-failed";
@@ -392,23 +420,10 @@ RewriteResult ParallelRewriteImpl(const ConjunctiveQuery& query,
                                   const RewriteOptions& options,
                                   MemoCache* memo, ThreadPool* pool,
                                   ParallelRewriteReport* report) {
-  // A query with contradictory comparisons computes nothing; the empty
-  // union is an equivalent rewriting.  (Same early exit as the serial
-  // path, before any threads spin up.)
-  if (!AcSolver::IsSatisfiable(query.comparisons())) {
-    RewriteResult result;
-    result.outcome = RewriteOutcome::kRewritingFound;
-    result.tier = 0;
-    result.tier_reason =
-        "query comparisons unsatisfiable; the rewriting is the empty union";
-    if (options.verify) {
-      result.verified = RewritingIsEquivalent(query, result.rewriting, views);
-    }
-    return result;
+  if (std::optional<RewriteResult> empty =
+          RewriteUnsatisfiableQuery(query, views, options)) {
+    return *std::move(empty);
   }
-
-  // --- Shared immutable setup ---
-
   const RewriteWork work = PrepareRewriteWork(query, views, options);
   return ParallelRewritePreparedImpl(work, options, memo, pool, report,
                                      /*external_p1_memo=*/nullptr);

@@ -16,7 +16,7 @@ thread_local const ThreadPool* tls_worker_pool = nullptr;
 }  // namespace
 
 int ThreadPool::ResolveJobs(int jobs) {
-  if (jobs > 0) return jobs;
+  if (jobs != 0) return jobs > 0 ? jobs : 1;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
 }

@@ -31,8 +31,8 @@ class ThreadPool {
  public:
   using Task = TaskQueue::Task;
 
-  /// `num_threads == 0` means std::thread::hardware_concurrency() (at
-  /// least 1).
+  /// `num_threads` resolves through ResolveJobs: 0 means
+  /// std::thread::hardware_concurrency() (at least 1), a negative count 1.
   explicit ThreadPool(int num_threads = 0);
   ~ThreadPool();
 
@@ -54,8 +54,8 @@ class ThreadPool {
   /// Submit (monotonic; approximate while running).
   int64_t max_queue_depth() const { return max_depth_.load(); }
 
-  /// Resolves a user-facing jobs count: 0 -> hardware concurrency,
-  /// otherwise clamped to at least 1.
+  /// Resolves a user-facing jobs count: 0 -> hardware concurrency (at
+  /// least 1), a negative count -> 1, any other count unchanged.
   static int ResolveJobs(int jobs);
 
   /// Largest worker-thread count any user-facing jobs flag accepts.  A

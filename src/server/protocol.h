@@ -53,8 +53,8 @@
 //                              // or server-stamped for old clients)
 //    "counters": {...},        // status=ok, job ran: the per-rewrite
 //                              // schema_version record of docs/SYNTAX.md
-//                              // (schema v5: + tier, tier_reason, grid /
-//                              // join-tree counters, phase2_orders)
+//                              // (schema v6: tier, tier_reason, grid
+//                              // counters, phase2_orders)
 //    "tier": 1,                // structural tier that served the job
 //    "catalog_epoch": 7,       // catalog-served only: epoch of the
 //    "semantic_cache_hit": 1,  //   serving catalog + whether the result

@@ -108,7 +108,7 @@ Server::Server(ServerOptions options)
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   slo_latency_[0] =
       &reg.windowed("server.slo_request_latency_ns{tier=\"none\"}");
-  for (int tier = 0; tier <= 2; ++tier) {
+  for (int tier = 0; tier <= 1; ++tier) {
     slo_latency_[tier + 1] = &reg.windowed(
         "server.slo_request_latency_ns{tier=\"" + std::to_string(tier) +
         "\"}");
@@ -116,7 +116,7 @@ Server::Server(ServerOptions options)
 }
 
 obs::WindowedHistogram& Server::SloForTier(int tier) {
-  const int index = tier >= 0 && tier <= 2 ? tier + 1 : 0;
+  const int index = tier >= 0 && tier <= 1 ? tier + 1 : 0;
   return *slo_latency_[index];
 }
 
@@ -313,8 +313,8 @@ void Server::ConnectionLoop(std::shared_ptr<Connection> conn) {
       response.status = ResponseStatus::kBadRequest;
       response.outcome = JobOutcome::kError;
       response.error = error;
-      WriteResponse(*conn, 0, response);
       CountOutcome(JobOutcome::kError, nullptr);
+      WriteResponse(*conn, 0, response);
       if (obs::MetricsActive()) {
         obs::MetricsRegistry::Global().counter("server.bad_frames").Add(1);
       }
@@ -348,8 +348,8 @@ void Server::HandleFrame(const std::shared_ptr<Connection>& conn,
     response.status = ResponseStatus::kBadRequest;
     response.outcome = JobOutcome::kError;
     response.error = error;
-    WriteResponse(*conn, frame.id, response);
     CountOutcome(JobOutcome::kError, nullptr);
+    WriteResponse(*conn, frame.id, response);
     return;
   }
 
@@ -359,8 +359,8 @@ void Server::HandleFrame(const std::shared_ptr<Connection>& conn,
     response.outcome = JobOutcome::kRejected;
     response.error = "server is draining; no new work accepted";
     response.trace_id = request.trace_id;
-    WriteResponse(*conn, frame.id, response);
     CountOutcome(JobOutcome::kRejected, nullptr);
+    WriteResponse(*conn, frame.id, response);
     return;
   }
 
@@ -401,8 +401,8 @@ void Server::HandleFrame(const std::shared_ptr<Connection>& conn,
                      " requests in flight (limit " +
                      std::to_string(options_.max_inflight) + "); retry later";
     response.trace_id = request.trace_id;
-    WriteResponse(*conn, frame.id, response);
     CountOutcome(JobOutcome::kRejected, nullptr);
+    WriteResponse(*conn, frame.id, response);
     if (obs::MetricsActive()) {
       obs::MetricsRegistry::Global().counter("server.requests_shed").Add(1);
     }

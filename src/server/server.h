@@ -180,7 +180,7 @@ class Server {
   void ArmDeadline(std::chrono::steady_clock::time_point deadline,
                    const std::shared_ptr<JobState>& job);
   void CountOutcome(JobOutcome outcome, const RewriteStats* stats);
-  /// The sliding-window SLO latency histogram for `tier` (-1..2); the
+  /// The sliding-window SLO latency histogram for `tier` (-1..1); the
   /// references are registry-owned and cached at construction.
   obs::WindowedHistogram& SloForTier(int tier);
   /// Appends one slow-request record (header + flight excerpt) to the
@@ -228,10 +228,9 @@ class Server {
   BatchSummary summary_;
 
   /// Per-tier sliding-window latency histograms (index 0 = tier "none",
-  /// then tiers 0..2), registered eagerly so get_metrics lists them
+  /// then tiers 0..1), registered eagerly so get_metrics lists them
   /// before traffic arrives.
-  obs::WindowedHistogram* slo_latency_[4] = {nullptr, nullptr, nullptr,
-                                             nullptr};
+  obs::WindowedHistogram* slo_latency_[3] = {nullptr, nullptr, nullptr};
 
   /// Slow-request log sink (options_.slow_log_path); lines are whole
   /// JSON objects appended under slow_log_mu_.

@@ -81,10 +81,10 @@ std::vector<LatticeConfig> FullConfigLattice() {
   catalog_parallel.use_catalog = true;
   catalog_parallel.jobs = 4;
   lattice.push_back(catalog_parallel);
-  // Tier lattice (rewriting/structure.h): forced-general anchor plus each
-  // fast tier, serial and (for the grid cache, whose sharing is
-  // schedule-dependent) parallel.  Ineligible inputs fall back to the
-  // general path, so every point is sound on every case.
+  // Tier lattice (rewriting/structure.h): forced-general anchor plus the
+  // grid-cache tier, at jobs=1 and (its sharing is schedule-dependent)
+  // jobs=4.  Ineligible inputs fall back to the general path, so every
+  // point is sound on every case.
   LatticeConfig tier0;
   tier0.force_tier = 0;
   lattice.push_back(tier0);
@@ -95,9 +95,6 @@ std::vector<LatticeConfig> FullConfigLattice() {
   tier1_parallel.force_tier = 1;
   tier1_parallel.jobs = 4;
   lattice.push_back(tier1_parallel);
-  LatticeConfig tier2;
-  tier2.force_tier = 2;
-  lattice.push_back(tier2);
   return lattice;
 }
 
@@ -124,12 +121,12 @@ std::vector<LatticeConfig> SmokeConfigLattice() {
   LatticeConfig catalog;
   catalog.use_catalog = true;
   lattice.push_back(catalog);
+  LatticeConfig tier0;  // forced-general path vs the auto-routed baseline
+  tier0.force_tier = 0;
+  lattice.push_back(tier0);
   LatticeConfig tier1;  // grid-cache tier vs the auto-routed baseline
   tier1.force_tier = 1;
   lattice.push_back(tier1);
-  LatticeConfig tier2;  // join-tree tier (general fallback when cyclic)
-  tier2.force_tier = 2;
-  lattice.push_back(tier2);
   return lattice;
 }
 

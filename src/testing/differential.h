@@ -15,8 +15,8 @@ namespace testing {
 /// memoization, enumeration engine, and mapping engine.  Every point must
 /// produce the same answer; the differential driver proves it per input.
 struct LatticeConfig {
-  /// RewriteOptions::jobs — 1 is the classic serial loop, anything else
-  /// the work-stealing parallel driver.
+  /// RewriteOptions::jobs — 1 runs the driver inline, anything else on
+  /// its work-stealing pool.
   int jobs = 1;
 
   /// RewriteOptions::phase1_dedup — the Phase-1 fingerprint memo.
@@ -51,7 +51,7 @@ struct LatticeConfig {
   bool use_catalog = false;
 
   /// RewriteOptions::force_tier — pins the structural execution tier
-  /// (rewriting/structure.h): -1 = auto routing, 0/1/2 forces that tier
+  /// (rewriting/structure.h): -1 = auto routing, 0/1 forces that tier
   /// when the input is eligible (else general-path fallback).  The tier
   /// lattice points prove every tier's signature is byte-identical to the
   /// forced-general baseline.

@@ -60,7 +60,7 @@ ConjunctiveQuery WorkloadGenerator::GenerateQuery() {
     } else if (config_.acyclic_only && n > 1) {
       // Duplicate a random chain edge: a repeated edge is still an ear
       // under GYO reduction, whereas the random chord below could close
-      // a cycle and bounce the instance off the acyclic tier.
+      // a cycle and make the body cyclic.
       ai = RandomInt(0, n - 2);
       bi = ai + 1;
     } else {

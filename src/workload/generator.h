@@ -49,9 +49,10 @@ struct WorkloadConfig {
   /// instances.
   bool semi_interval_only = false;
 
-  /// Generate no comparisons at all.  The query's chain-shaped body is
-  /// GYO-acyclic, so the instance routes to the acyclic-core tier.
-  /// Defaults to false for the same draw-sequence stability reason.
+  /// Generate no comparisons at all, with a chain-shaped, GYO-acyclic
+  /// query body (the comparison-free acyclic class); such instances route
+  /// to the semi-interval tier vacuously.  Defaults to false for the same
+  /// draw-sequence stability reason.
   bool acyclic_only = false;
 
   /// PRNG seed; equal configs with equal seeds generate byte-identical

@@ -144,13 +144,13 @@ TEST(BatchDriverTest, JsonSummaryIncludesMemoCounters) {
   BatchOptions options;
   options.json_summary = true;
   RunBatch(in, out, options);
-  EXPECT_NE(out.str().find("{\"schema_version\": 5, \"jobs\": 1"),
+  EXPECT_NE(out.str().find("{\"schema_version\": 6, \"jobs\": 1"),
             std::string::npos);
   EXPECT_NE(out.str().find("\"phase1_memo_hits\": "), std::string::npos);
   EXPECT_NE(out.str().find("\"phase1_memo_misses\": "), std::string::npos);
   EXPECT_NE(out.str().find("\"phase1_ns\": "), std::string::npos);
   EXPECT_NE(out.str().find("\"tier1_grid_hits\": "), std::string::npos);
-  EXPECT_NE(out.str().find("\"tier2_jointree_evals\": "), std::string::npos);
+  EXPECT_EQ(out.str().find("tier2_jointree_evals"), std::string::npos);
 }
 
 TEST(BatchDriverTest, FooterCarriesTheServiceCounters) {

@@ -1,11 +1,13 @@
-// Tests of the parallel rewriting runtime: the parallel driver must be
-// byte-identical to the serial algorithm for every thread count and task
-// interleaving, and the first failing canonical database must cancel
-// outstanding work (the paper's "some D_i has no MCR => no rewriting
-// exists" short-circuit).
+// Tests of the rewriting driver: a jobs=1 run (inline on the caller's
+// thread) and pooled runs must be byte-identical for every thread count
+// and task interleaving, and the first failing canonical database must
+// cancel outstanding work (the paper's "some D_i has no MCR => no
+// rewriting exists" short-circuit).
 
 #include "runtime/parallel_rewriter.h"
 
+#include <chrono>
+#include <future>
 #include <string>
 #include <vector>
 
@@ -55,24 +57,29 @@ TEST(ParallelRewriterTest, MergeIsElementwiseSum) {
   EXPECT_EQ(a.phase2_orders, 7);
 }
 
-// The satellite requirement: serial and 2/4/8-thread runs over ~50
-// generated instances produce identical RewriteResults.
+/// The ~50 generated instances the determinism sweeps run over.  Half
+/// get only distractor views (unrelated to the query), so the sweeps
+/// exercise the no-rewriting early-exit path too.
+WorkloadInstance SweepInstance(uint64_t seed) {
+  WorkloadConfig config;
+  config.num_variables = 3;
+  config.num_constants = 1;
+  config.num_subgoals = 2;
+  config.num_views = 3;
+  config.view_subgoals = 2;
+  config.distractor_fraction = seed % 2 == 0 ? 0.25 : 1.0;
+  config.seed = seed;
+  WorkloadGenerator generator(config);
+  return generator.Generate();
+}
+
+// jobs=1 and 2/4/8-thread runs over ~50 generated instances produce
+// identical RewriteResults.
 TEST(ParallelRewriterTest, DeterministicAcrossThreadCountsOnWorkloads) {
   int found = 0;
   int failed = 0;
   for (uint64_t seed = 0; seed < 50; ++seed) {
-    WorkloadConfig config;
-    config.num_variables = 3;
-    config.num_constants = 1;
-    config.num_subgoals = 2;
-    config.num_views = 3;
-    config.view_subgoals = 2;
-    // Half the instances get only distractor views (unrelated to the
-    // query), so the sweep exercises the no-rewriting early-exit path too.
-    config.distractor_fraction = seed % 2 == 0 ? 0.25 : 1.0;
-    config.seed = seed;
-    WorkloadGenerator generator(config);
-    const WorkloadInstance instance = generator.Generate();
+    const WorkloadInstance instance = SweepInstance(seed);
 
     RewriteOptions options;
     options.jobs = 1;
@@ -103,6 +110,73 @@ TEST(ParallelRewriterTest, DeterministicAcrossThreadCountsOnWorkloads) {
   // The workload must exercise both outcomes, or the test proves little.
   EXPECT_GT(found, 0);
   EXPECT_GT(failed, 0);
+}
+
+// A cqacd worker calls the driver with jobs=1 and the pool it runs on.
+// From inside the only worker of a one-thread pool that call must run
+// inline (queueing a task behind itself would deadlock) and match a
+// pool-less run exactly: answer, trace and counters.
+TEST(ParallelRewriterTest, InlineRunInsideTheOnlyPoolWorker) {
+  ThreadPool pool(1);
+  int runs = 0;
+  for (uint64_t seed = 0; seed < 50; ++seed) {
+    const WorkloadInstance instance = SweepInstance(seed);
+    if (RewriteUnsatisfiableQuery(instance.query, instance.views, {})) {
+      continue;  // The driver's callers take this shortcut first.
+    }
+    for (const bool explain : {false, true}) {
+      SCOPED_TRACE("seed=" + std::to_string(seed) +
+                   (explain ? " explain" : ""));
+      RewriteOptions options;
+      options.jobs = 1;
+      options.explain = explain;
+      // One work per run: a shared work would share its grid cache and
+      // shift the tier-1 hit/miss split between the two runs.
+      const RewriteWork alone_work =
+          PrepareRewriteWork(instance.query, instance.views, options);
+      const RewriteWork nested_work =
+          PrepareRewriteWork(instance.query, instance.views, options);
+
+      ParallelRewriteReport alone_report;
+      const RewriteResult alone = ParallelRewritePrepared(
+          alone_work, options, /*memo=*/nullptr, /*pool=*/nullptr,
+          &alone_report);
+
+      RewriteResult nested;
+      ParallelRewriteReport nested_report;
+      std::promise<void> finished;
+      pool.Submit([&] {
+        nested = ParallelRewritePrepared(nested_work, options,
+                                         /*memo=*/nullptr, &pool,
+                                         &nested_report);
+        finished.set_value();
+      });
+      ASSERT_EQ(finished.get_future().wait_for(std::chrono::seconds(60)),
+                std::future_status::ready)
+          << "jobs=1 inside the pool's only worker deadlocked";
+
+      ExpectResultsEqual(alone, nested, "nested");
+      EXPECT_EQ(alone.tier, nested.tier);
+      EXPECT_EQ(alone.tier_reason, nested.tier_reason);
+      EXPECT_EQ(alone.stats.phase1_memo_hits, nested.stats.phase1_memo_hits);
+      EXPECT_EQ(alone.stats.phase1_memo_misses,
+                nested.stats.phase1_memo_misses);
+      EXPECT_EQ(alone.stats.tier1_grid_hits, nested.stats.tier1_grid_hits);
+      EXPECT_EQ(alone.stats.tier1_grid_misses,
+                nested.stats.tier1_grid_misses);
+      EXPECT_EQ(TableauToString(alone.trace), TableauToString(nested.trace));
+      EXPECT_EQ(alone.trace.databases.size(), nested.trace.databases.size());
+      for (const ParallelRewriteReport* report :
+           {&alone_report, &nested_report}) {
+        EXPECT_EQ(report->jobs, 1);
+        EXPECT_EQ(report->tasks_stolen, 0);
+      }
+      EXPECT_EQ(nested_report.db_tasks_total, alone_report.db_tasks_total);
+      EXPECT_EQ(nested_report.db_tasks_cancelled, 0);
+      ++runs;
+    }
+  }
+  EXPECT_GT(runs, 0);
 }
 
 // The explain trace (the paper's two-column tableau) is part of the

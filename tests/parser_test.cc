@@ -149,6 +149,46 @@ TEST(ParserTest, ErrorMentionsLineAndColumn) {
   EXPECT_NE(error.find("line 2"), std::string::npos);
 }
 
+// Malformed numeric literals are lexer errors reported at the literal's
+// own position, never silently truncated or wrapped values.
+TEST(ParserTest, MalformedLiteralsReportTheirPosition) {
+  struct Row {
+    const char* text;
+    const char* message;
+    const char* position;
+  };
+  const Row rows[] = {
+      {"q(A) :- r(A), A < 1/0", "zero denominator in rational literal '1/0'",
+       "line 1, column 19"},
+      {"q(A) :- r(A),\n  A < -3/0", "zero denominator", "line 2, column 7"},
+      {"q(A) :- r(A), A < 99999999999999999999",
+       "numeric literal '99999999999999999999' does not fit",
+       "line 1, column 19"},
+      {"q(A) :- r(A, 9223372036854775808)", "does not fit",
+       "line 1, column 14"},
+      {"q(A) :- r(A), A < 1/99999999999999999999", "does not fit",
+       "line 1, column 19"},
+      {"q(A) :- r(A), A < 0.00000000000000000001", "does not fit",
+       "line 1, column 19"},
+      {"q(A) :- r(A), A < 9223372036854775807.5", "does not fit",
+       "line 1, column 19"},
+  };
+  for (const Row& row : rows) {
+    std::string error;
+    EXPECT_FALSE(Parser::ParseRule(row.text, &error).has_value()) << row.text;
+    EXPECT_NE(error.find(row.message), std::string::npos)
+        << row.text << "\n" << error;
+    EXPECT_NE(error.find(row.position), std::string::npos)
+        << row.text << "\n" << error;
+  }
+  // The largest literals that fit still parse exactly.
+  auto q = Parser::ParseRule(
+      "q(A) :- r(A), A < 9223372036854775807, A > -9223372036854775807");
+  ASSERT_TRUE(q.has_value());
+  EXPECT_EQ(q->comparisons()[0].ToString(), "A < 9223372036854775807");
+  EXPECT_EQ(q->comparisons()[1].ToString(), "A > -9223372036854775807");
+}
+
 TEST(ParserTest, ErrorOnUpperCasePredicate) {
   std::string error;
   auto q = Parser::ParseRule("Q(X) :- a(X)", &error);

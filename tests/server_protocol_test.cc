@@ -317,7 +317,7 @@ TEST(ServiceResponseTest, RoundTripsStructuredErrors) {
   }
 }
 
-TEST(ServiceResponseTest, RoundTripsTraceIdTierAndSchemaV5Counters) {
+TEST(ServiceResponseTest, RoundTripsTraceIdTierAndSchemaV6Counters) {
   ServiceResponse in;
   in.status = ResponseStatus::kOk;
   in.outcome = JobOutcome::kFound;
@@ -334,9 +334,11 @@ TEST(ServiceResponseTest, RoundTripsTraceIdTierAndSchemaV5Counters) {
                                    &in.trace_id));
 
   const std::string wire = EncodeServiceResponse(in);
-  // The v5 additions are on the wire: schema version, the new per-order
-  // counter, the tier block, and the top-level trace id / tier.
-  EXPECT_NE(wire.find("\"schema_version\": 5"), std::string::npos) << wire;
+  // The v6 record is on the wire: schema version, the per-order counter,
+  // the tier block without the removed join-tree counter, and the
+  // top-level trace id / tier.
+  EXPECT_NE(wire.find("\"schema_version\": 6"), std::string::npos) << wire;
+  EXPECT_EQ(wire.find("tier2_jointree_evals"), std::string::npos) << wire;
   EXPECT_NE(wire.find("\"phase2_orders\": 9"), std::string::npos);
   EXPECT_NE(wire.find("\"tier\": 1"), std::string::npos);
   EXPECT_NE(wire.find("\"tier_reason\": \"semi-interval views\""),
@@ -370,6 +372,24 @@ TEST(ServiceResponseTest, ToleratesResponsesWithoutTraceIdOrTier) {
   EXPECT_FALSE(ParseServiceResponse(
       "{\"status\": \"ok\", \"outcome\": \"found\", \"trace_id\": \"xyz\"}",
       &out, &error));
+}
+
+TEST(ServiceResponseTest, AcceptsSchemaV5BodiesWithTheJoinTreeCounter) {
+  // A response from a v5 server still carries tier2_jointree_evals (and
+  // possibly tier 2); v6 clients must parse it.
+  ServiceResponse out;
+  std::string error;
+  ASSERT_TRUE(ParseServiceResponse(
+      "{\"status\": \"ok\", \"outcome\": \"found\", \"body\": \"x\", "
+      "\"counters\": {\"schema_version\": 5, \"outcome\": \"found\", "
+      "\"tier\": 2, \"tier1_grid_hits\": 0, \"tier1_grid_misses\": 3, "
+      "\"tier2_jointree_evals\": 3}, \"tier\": 2}",
+      &out, &error))
+      << error;
+  EXPECT_EQ(out.status, ResponseStatus::kOk);
+  EXPECT_EQ(out.outcome, JobOutcome::kFound);
+  EXPECT_EQ(out.body, "x");
+  EXPECT_EQ(out.tier, 2);
 }
 
 TEST(ServiceResponseTest, RejectsUnknownNames) {

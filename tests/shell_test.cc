@@ -128,12 +128,20 @@ TEST(ShellTest, MinimizeFoldsRedundantSubgoal) {
   EXPECT_EQ(out.find("), a("), std::string::npos) << out;
 }
 
-TEST(ShellTest, AcyclicCheck) {
-  const std::string out = RunSession(
-      "acyclic q() :- a(X,Y), b(Y,Z), c(Z,X)\n"
-      "acyclic q(X) :- a(X,Y)\n");
-  EXPECT_NE(out.find("cyclic"), std::string::npos);
-  EXPECT_NE(out.find("acyclic"), std::string::npos);
+TEST(ShellTest, ForceTierAcceptsAutoGeneralAndSemiIntervalOnly) {
+  const std::string session =
+      "view v(Y,Z) :- r(X), s(Y,Z), Y <= X, X <= Z\n"
+      "query q(A) :- r(A), s(A,A), A <= 8\n";
+  for (const char* value : {"-1", "0", "1"}) {
+    const std::string out =
+        RunSession(session + "rewrite force-tier=" + value + "\n");
+    EXPECT_EQ(out.find("warning"), std::string::npos) << value << "\n" << out;
+    EXPECT_NE(out.find("equivalent rewriting"), std::string::npos) << out;
+  }
+  const std::string out = RunSession(session + "rewrite force-tier=2\n");
+  EXPECT_NE(out.find("warning: force-tier expects 0, 1 or -1"),
+            std::string::npos)
+      << out;
 }
 
 TEST(ShellTest, FactsAndEvaluation) {
@@ -187,7 +195,7 @@ TEST(ShellTest, RewriteJsonFlagEmitsCounterRecord) {
       "view v(Y,Z) :- r(X), s(Y,Z), Y <= X, X <= Z.\n"
       "query q(A) :- r(A), s(A,A), A <= 8.\n"
       "rewrite json\n");
-  EXPECT_NE(out.find("{\"schema_version\": 5, \"outcome\": \"found\""),
+  EXPECT_NE(out.find("{\"schema_version\": 6, \"outcome\": \"found\""),
             std::string::npos);
   EXPECT_NE(out.find("\"phase1_memo_hits\": "), std::string::npos);
   EXPECT_NE(out.find("\"phase1_memo_misses\": "), std::string::npos);

@@ -1,10 +1,8 @@
 // Unit tests for the structural tier classifier, the forced-tier
-// resolution, the grid-class key construction, and the join-tree engine's
-// parity with the general evaluator (rewriting/structure.h,
-// engine/jointree.h).  Every classifier boundary the tiers depend on gets
-// a case: a single var-var comparison among semi-intervals, a
-// cycle-closing atom, self-joins, zero comparisons, and unsatisfiable
-// comparisons.
+// resolution, and the grid-class key construction (rewriting/structure.h).
+// Every classifier boundary the tiers depend on gets a case: a single
+// var-var comparison among semi-intervals, a var-var comparison on a
+// view, zero comparisons, and unsatisfiable comparisons.
 
 #include "rewriting/structure.h"
 
@@ -13,11 +11,7 @@
 
 #include <gtest/gtest.h>
 
-#include "ast/hypergraph.h"
 #include "constraints/orders.h"
-#include "engine/canonical.h"
-#include "engine/evaluate.h"
-#include "engine/jointree.h"
 #include "parser/parser.h"
 #include "rewriting/equiv_rewriter.h"
 #include "rewriting/view_set.h"
@@ -44,7 +38,6 @@ TEST(ClassifyStructureTest, SemiIntervalComparisonsRouteToTier1) {
       Views({"v0(A,B) :- p(A,B), A < 5"}));
   EXPECT_EQ(d.tier, ExecutionTier::kSemiInterval);
   EXPECT_TRUE(d.semi_interval_eligible);
-  EXPECT_FALSE(d.acyclic_eligible);  // comparisons block the acyclic tier
   EXPECT_TRUE(Contains(d.reason, "semi-interval")) << d.reason;
 }
 
@@ -69,47 +62,26 @@ TEST(ClassifyStructureTest, VarVarComparisonOnViewBlocksTier1) {
   EXPECT_TRUE(Contains(d.reason, "on a view")) << d.reason;
 }
 
-TEST(ClassifyStructureTest, ComparisonFreeAcyclicRoutesToTier2) {
-  const TierDecision d = ClassifyStructure(
-      Parser::MustParseRule("q(X) :- p(X,Y), r(Y)"),
-      Views({"v0(A,B) :- p(A,B)", "v1(B) :- r(B)"}));
-  EXPECT_EQ(d.tier, ExecutionTier::kAcyclic);
-  EXPECT_TRUE(d.semi_interval_eligible);  // vacuously: zero comparisons
-  EXPECT_TRUE(d.acyclic_eligible);
-  EXPECT_TRUE(Contains(d.reason, "GYO-acyclic")) << d.reason;
+TEST(ClassifyStructureTest, ComparisonFreeRoutesToTier1) {
+  // Zero comparisons are vacuously semi-interval, acyclic body or not.
+  for (const char* query :
+       {"q(X) :- p(X,Y), r(Y)", "q(X) :- p(X,Y), p(Y,Z), p(Z,X)"}) {
+    const TierDecision d = ClassifyStructure(
+        Parser::MustParseRule(query),
+        Views({"v0(A,B) :- p(A,B)", "v1(B) :- r(B)"}));
+    EXPECT_EQ(d.tier, ExecutionTier::kSemiInterval) << query;
+    EXPECT_TRUE(d.semi_interval_eligible) << query;
+    EXPECT_TRUE(Contains(d.reason, "comparison-free")) << d.reason;
+  }
 }
 
-TEST(ClassifyStructureTest, CycleClosingAtomDowngradesToTier1) {
-  // The triangle-closing p(Z,X) is the only difference from an acyclic
-  // chain; zero comparisons keep it semi-interval-eligible.
-  const TierDecision d = ClassifyStructure(
-      Parser::MustParseRule("q(X) :- p(X,Y), p(Y,Z), p(Z,X)"),
-      Views({"v0(A,B) :- p(A,B)"}));
-  EXPECT_EQ(d.tier, ExecutionTier::kSemiInterval);
-  EXPECT_TRUE(d.semi_interval_eligible);
-  EXPECT_FALSE(d.acyclic_eligible);
-  EXPECT_TRUE(Contains(d.reason, "cyclic")) << d.reason;
-}
-
-TEST(ClassifyStructureTest, SelfJoinStaysTier2) {
-  // a(X,Y), a(Y,X) is a repeated hyperedge {X,Y}: still GYO-acyclic.
-  const TierDecision d = ClassifyStructure(
-      Parser::MustParseRule("q(X) :- a(X,Y), a(Y,X)"),
-      Views({"v0(A,B) :- a(A,B)"}));
-  EXPECT_EQ(d.tier, ExecutionTier::kAcyclic);
-  EXPECT_TRUE(d.acyclic_eligible);
-}
-
-TEST(ClassifyStructureTest, ViewComparisonBlocksTier2ButNotTier1) {
-  // The query is comparison-free and acyclic, but a view carries a
-  // (semi-interval) comparison: T2 requires comparison-free views, T1
-  // does not.
+TEST(ClassifyStructureTest, SemiIntervalViewComparisonKeepsTier1) {
   const TierDecision d = ClassifyStructure(
       Parser::MustParseRule("q(X) :- p(X,Y), r(Y)"),
       Views({"v0(A,B) :- p(A,B), A < 5", "v1(B) :- r(B)"}));
   EXPECT_EQ(d.tier, ExecutionTier::kSemiInterval);
   EXPECT_TRUE(d.semi_interval_eligible);
-  EXPECT_FALSE(d.acyclic_eligible);
+  EXPECT_TRUE(Contains(d.reason, "var-vs-const")) << d.reason;
 }
 
 TEST(ClassifyStructureTest, UnsatisfiableSemiIntervalsStillClassifyTier1) {
@@ -142,7 +114,7 @@ TEST(ResolveTierTest, ForcedGeneralAlwaysApplies) {
   EXPECT_TRUE(Contains(d.reason, "forced tier0")) << d.reason;
   // Eligibility is reported unchanged: forcing routes, it does not
   // reclassify.
-  EXPECT_TRUE(d.acyclic_eligible);
+  EXPECT_TRUE(d.semi_interval_eligible);
 }
 
 TEST(ResolveTierTest, ForcedTierHonoredWhenEligible) {
@@ -150,30 +122,26 @@ TEST(ResolveTierTest, ForcedTierHonoredWhenEligible) {
       Parser::MustParseRule("q(X) :- p(X,Y), X < 5"),
       Views({"v0(A,B) :- p(A,B)"}));
   EXPECT_EQ(ResolveTier(classified, 1).tier, ExecutionTier::kSemiInterval);
-
-  const TierDecision acyclic = ClassifyStructure(
-      Parser::MustParseRule("q(X) :- p(X,Y), r(Y)"),
-      Views({"v0(A,B) :- p(A,B)"}));
-  EXPECT_EQ(ResolveTier(acyclic, 2).tier, ExecutionTier::kAcyclic);
 }
 
 TEST(ResolveTierTest, IneligibleForcedTierFallsBackToGeneral) {
-  // Var-var comparison: neither fast tier may apply, forced or not.
+  // Var-var comparison: the fast tier may not apply, forced or not.
   const TierDecision classified = ClassifyStructure(
       Parser::MustParseRule("q(X) :- p(X,Y), X < Y"),
       Views({"v0(A,B) :- p(A,B)"}));
-  for (const int force : {1, 2}) {
-    const TierDecision d = ResolveTier(classified, force);
-    EXPECT_EQ(d.tier, ExecutionTier::kGeneral) << "force " << force;
-    EXPECT_TRUE(Contains(d.reason, "falling back")) << d.reason;
-    EXPECT_TRUE(Contains(d.reason, "X < Y")) << d.reason;
-  }
-  // Cyclic comparison-free query: tier2 ineligible, tier1 fine.
-  const TierDecision cyclic = ClassifyStructure(
-      Parser::MustParseRule("q(X) :- p(X,Y), p(Y,Z), p(Z,X)"),
+  const TierDecision d = ResolveTier(classified, 1);
+  EXPECT_EQ(d.tier, ExecutionTier::kGeneral);
+  EXPECT_TRUE(Contains(d.reason, "falling back")) << d.reason;
+  EXPECT_TRUE(Contains(d.reason, "X < Y")) << d.reason;
+}
+
+TEST(ResolveTierTest, RemovedTierTwoFallsBackToGeneral) {
+  const TierDecision classified = ClassifyStructure(
+      Parser::MustParseRule("q(X) :- p(X,Y), r(Y)"),
       Views({"v0(A,B) :- p(A,B)"}));
-  EXPECT_EQ(ResolveTier(cyclic, 2).tier, ExecutionTier::kGeneral);
-  EXPECT_EQ(ResolveTier(cyclic, 1).tier, ExecutionTier::kSemiInterval);
+  const TierDecision d = ResolveTier(classified, 2);
+  EXPECT_EQ(d.tier, ExecutionTier::kGeneral);
+  EXPECT_TRUE(Contains(d.reason, "unknown forced tier 2")) << d.reason;
 }
 
 // ---------------------------------------------------------------------------
@@ -253,95 +221,6 @@ TEST(GridVerdictCacheTest, FirstWriterWins) {
 }
 
 // ---------------------------------------------------------------------------
-// GyoJoinForest: children are eliminated before their parents.
-
-TEST(GyoJoinForestTest, ChainForestIsConsistent) {
-  const ConjunctiveQuery q =
-      Parser::MustParseRule("q(X,W) :- a(X,Y), b(Y,Z), c(Z,W)");
-  const JoinForest forest = GyoJoinForest(q);
-  ASSERT_EQ(forest.elimination_order.size(), 3u);
-  ASSERT_EQ(forest.parent.size(), 3u);
-  std::vector<int> removed_at(3, -1);
-  for (int i = 0; i < 3; ++i) removed_at[forest.elimination_order[i]] = i;
-  for (int atom = 0; atom < 3; ++atom) {
-    const int parent = forest.parent[atom];
-    ASSERT_GE(parent, -1);
-    ASSERT_LT(parent, 3);
-    if (parent != -1) {
-      EXPECT_LT(removed_at[atom], removed_at[parent])
-          << "atom " << atom << " must be eliminated before its parent";
-    }
-  }
-}
-
-TEST(GyoJoinForestTest, CyclicQueryYieldsNoForest) {
-  const JoinForest forest =
-      GyoJoinForest(Parser::MustParseRule("q() :- a(X,Y), b(Y,Z), c(Z,X)"));
-  EXPECT_TRUE(forest.elimination_order.empty());
-}
-
-TEST(GyoJoinForestTest, DisconnectedComponentsYieldMultipleRoots) {
-  const JoinForest forest =
-      GyoJoinForest(Parser::MustParseRule("q() :- a(X,Y), b(Z,W)"));
-  ASSERT_EQ(forest.parent.size(), 2u);
-  EXPECT_EQ(forest.parent[0], -1);
-  EXPECT_EQ(forest.parent[1], -1);
-}
-
-// ---------------------------------------------------------------------------
-// AcyclicPlan parity: the join-tree engine agrees with the general
-// evaluator on every canonical database.
-
-void ExpectPlanMatchesPrepared(const char* base_rule, const char* probe_rule) {
-  const ConjunctiveQuery base = Parser::MustParseRule(base_rule);
-  const ConjunctiveQuery probe = Parser::MustParseRule(probe_rule);
-  const std::optional<AcyclicPlan> plan = AcyclicPlanFor(probe);
-  ASSERT_TRUE(plan.has_value()) << probe_rule;
-
-  CanonicalFreezer freezer(base);
-  const PreparedQuery prepared(probe);
-  PreparedQuery::Scratch scratch;
-  AcyclicPlan::Scratch jointree_scratch;
-  const std::vector<Rational> constants = base.Constants();
-  freezer.PrimeDictionary(constants, base.AllVariables().size());
-
-  int orders = 0;
-  ForEachTotalOrder(base.AllVariables(), constants, [&](const TotalOrder& o) {
-    const FlatInstance& inst = freezer.Freeze(o);
-    const bool general =
-        prepared.Run(inst, &freezer.frozen_head(), nullptr, &scratch);
-    const bool jointree =
-        plan->Run(inst, freezer.frozen_head(), &jointree_scratch);
-    EXPECT_EQ(general, jointree)
-        << "base " << base_rule << "\nprobe " << probe_rule << "\norder "
-        << o.ToString();
-    return ++orders < 600;
-  });
-  EXPECT_GT(orders, 0);
-}
-
-TEST(AcyclicPlanTest, MatchesGeneralEvaluatorOnSelfCheck) {
-  ExpectPlanMatchesPrepared("q(X) :- p(X,Y), r(Y)", "q(X) :- p(X,Y), r(Y)");
-}
-
-TEST(AcyclicPlanTest, MatchesGeneralEvaluatorAcrossQueries) {
-  ExpectPlanMatchesPrepared("q(X) :- p(X,Y), r(Y)", "q(X) :- p(X,X)");
-  ExpectPlanMatchesPrepared("q(X) :- p(X,Y), p(Y,Z)",
-                            "q(X) :- p(X,Y), p(X,Z)");
-  ExpectPlanMatchesPrepared("q(X) :- p(X,Y), p(Y,X)",
-                            "q(X) :- p(X,Y), p(Y,X)");
-}
-
-TEST(AcyclicPlanTest, RefusesCyclicAndComparisonQueries) {
-  EXPECT_FALSE(
-      AcyclicPlanFor(Parser::MustParseRule("q() :- a(X,Y), b(Y,Z), c(Z,X)"))
-          .has_value());
-  EXPECT_FALSE(
-      AcyclicPlanFor(Parser::MustParseRule("q(X) :- a(X,Y), X < 5"))
-          .has_value());
-}
-
-// ---------------------------------------------------------------------------
 // End-to-end: the rewriter reports the routed tier and its counters, and
 // forced tiers return the identical rewriting.
 
@@ -370,20 +249,20 @@ TEST(TieredRewriteTest, SemiIntervalCaseRoutesToTier1AndMatchesGeneral) {
   EXPECT_EQ(general.stats.tier1_grid_misses, 0);
 }
 
-TEST(TieredRewriteTest, AcyclicCaseRoutesToTier2AndMatchesGeneral) {
+TEST(TieredRewriteTest, ComparisonFreeCaseRoutesToTier1AndMatchesGeneral) {
   const char* query = "q(A) :- p(A,B), r(B)";
   const auto views = [] {
     return Views({"v0(A,B) :- p(A,B)", "v1(B) :- r(B)"});
   };
   const RewriteResult general = RunWithForcedTier(query, views(), 0);
   const RewriteResult routed = RunWithForcedTier(query, views(), -1);
-  EXPECT_EQ(routed.tier, 2);
+  EXPECT_EQ(routed.tier, 1);
   EXPECT_EQ(routed.outcome, general.outcome);
   EXPECT_EQ(routed.rewriting.ToString(), general.rewriting.ToString());
   EXPECT_EQ(routed.stats.kept_canonical_databases,
             general.stats.kept_canonical_databases);
-  EXPECT_GT(routed.stats.tier2_jointree_evals, 0);
-  EXPECT_EQ(general.stats.tier2_jointree_evals, 0);
+  EXPECT_GT(routed.stats.tier1_grid_misses, 0);
+  EXPECT_EQ(general.stats.tier1_grid_misses, 0);
 }
 
 TEST(TieredRewriteTest, UnsatisfiableComparisonsShortCircuitAsTier0) {

@@ -4,13 +4,12 @@
 //
 // Two sweeps:
 //   1. the tier lattice — auto-routed baseline, forced tier0, forced
-//      tier1 (serial and parallel: the grid cache's sharing is
-//      schedule-dependent), forced tier2 — over the full persistent
-//      corpus;
+//      tier1 (jobs=1 and jobs=4: the grid cache's sharing is
+//      schedule-dependent) — over the full persistent corpus;
 //   2. the same lattice over >= 500 generated cases alternating
-//      semi-interval-only, acyclic-only, and unrestricted workloads, so
-//      both fast tiers fire on their home turf and fall back soundly
-//      elsewhere.
+//      semi-interval-only, comparison-free acyclic, and unrestricted
+//      workloads, so the fast tier fires on both of its shapes and falls
+//      back soundly elsewhere.
 //
 // The auto-routed baseline diffed against the forced-tier0 point IS the
 // byte-compatibility proof: whatever tier the classifier picked, the
@@ -52,9 +51,6 @@ std::vector<LatticeConfig> TierLattice() {
   tier1_parallel.force_tier = 1;
   tier1_parallel.jobs = 4;
   lattice.push_back(tier1_parallel);
-  LatticeConfig tier2;
-  tier2.force_tier = 2;
-  lattice.push_back(tier2);
   return lattice;
 }
 
@@ -72,9 +68,9 @@ TEST(TierDifferentialTest, FullCorpusTierLattice) {
 }
 
 /// Small tier-targeted workloads: cases 3k are semi-interval-only, 3k+1
-/// acyclic-only, 3k+2 unrestricted (so the var-var fallback path is
-/// diffed too).  Kept tiny — at most 4 order terms — so 500 cases times
-/// 5 lattice points stay well inside the test budget.
+/// comparison-free acyclic, 3k+2 unrestricted (so the var-var fallback
+/// path is diffed too).  Kept tiny — at most 4 order terms — so 500 cases
+/// times 4 lattice points stay well inside the test budget.
 WorkloadConfig TierConfig(int i) {
   WorkloadConfig config;
   config.num_variables = 2 + i % 2;

@@ -56,7 +56,8 @@ struct FuzzFlags {
   int jobs = 4;            // thread count of the parallel lattice points
   int dump_workloads = 0;  // corpus-seeding mode: emit N cases and exit
   bool tiers = false;      // draw tier-targeted workloads (semi-interval /
-                           // acyclic) instead of the general mix
+                           // comparison-free acyclic) instead of the
+                           // general mix
   bool verbose = false;
 };
 
@@ -80,7 +81,7 @@ void Usage() {
       "                      --out and exit (corpus seeding helper)\n"
       "  --tiers             alternate semi-interval-only and acyclic-only\n"
       "                      workloads so the generated stream targets the\n"
-      "                      fast execution tiers (the lattice's forced-tier\n"
+      "                      fast execution tier (the lattice's forced-tier\n"
       "                      points then diff them against the general path)\n"
       "  --verbose           per-case progress\n");
 }
@@ -175,9 +176,10 @@ WorkloadConfig DrawConfig(std::mt19937_64& meta, bool tiers) {
   config.view_subgoals = PortableUniformInt(meta, 1, 2);
   config.distractor_fraction = 0.25;
   if (tiers) {
-    // Alternate between the two fast-tier shapes so the forced-tier
-    // lattice points exercise their specialized paths rather than the
-    // general fallback.
+    // Alternate between the two shapes the semi-interval tier serves
+    // (var-op-const comparisons, and none at all) so the forced-tier
+    // lattice points exercise the grid cache rather than the general
+    // fallback.
     if (PortableUniformInt(meta, 0, 1) == 0) {
       config.semi_interval_only = true;
       config.num_constants = std::max(1, config.num_constants);

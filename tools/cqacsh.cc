@@ -37,14 +37,13 @@ void PrintUsage(std::ostream& out) {
          "              [--catalog] [--stats] [--json] [--trace FILE]\n"
          "              [--metrics] [--help]\n"
          "  --jobs N       worker threads for rewriting (0 = all cores;\n"
-         "                 default: all cores; 1 = serial; max 4096)\n"
+         "                 default: all cores; 1 = one thread; max 4096)\n"
          "  --force-tier N pin the structural execution tier for every\n"
-         "                 rewrite (0 = general, 1 = semi-interval, 2 =\n"
-         "                 acyclic core; -1 = auto, the default).  A forced\n"
-         "                 tier applies only when the input is eligible,\n"
-         "                 else the run falls back to the general path;\n"
-         "                 results are identical across tiers (testing\n"
-         "                 hook)\n"
+         "                 rewrite (0 = general, 1 = semi-interval; -1 =\n"
+         "                 auto, the default).  A forced tier applies only\n"
+         "                 when the input is eligible, else the run falls\n"
+         "                 back to the general path; results are identical\n"
+         "                 across tiers (testing hook)\n"
          "  --serve-batch  read rewriting jobs from stdin and execute them\n"
          "                 concurrently; otherwise run the interactive shell\n"
          "  --catalog      with --serve-batch, compile each distinct view\n"
@@ -151,8 +150,8 @@ int main(int argc, char** argv) {
       } else {
         value = arg.substr(13);
       }
-      if (value != "0" && value != "1" && value != "2" && value != "-1") {
-        std::cerr << "error: --force-tier expects 0, 1, 2 or -1\n";
+      if (value != "0" && value != "1" && value != "-1") {
+        std::cerr << "error: --force-tier expects 0, 1 or -1\n";
         return 1;
       }
       force_tier = std::stoi(value);

@@ -31,8 +31,8 @@
 # results/BENCH_columnar_engine.json.
 #
 # `tiered_execution` is the bench_tiers binary (forced tier 0 vs the
-# semi-interval grid cache and the acyclic join-tree engine, with
-# embedded output-equality checks) recorded under
+# semi-interval grid cache, with embedded output-equality checks)
+# recorded under
 # results/BENCH_tiered_execution.json.
 #
 # `telemetry_overhead` is the observability acceptance gate: bench_tiers
