@@ -5,13 +5,19 @@
 namespace cqac {
 
 std::string Atom::ToString() const {
-  std::string out = predicate_ + "(";
-  for (size_t i = 0; i < args_.size(); ++i) {
-    if (i > 0) out += ",";
-    out += args_[i].ToString();
-  }
-  out += ")";
+  std::string out;
+  AppendTo(&out);
   return out;
+}
+
+void Atom::AppendTo(std::string* out) const {
+  *out += predicate_;
+  *out += '(';
+  for (size_t i = 0; i < args_.size(); ++i) {
+    if (i > 0) *out += ',';
+    args_[i].AppendTo(out);
+  }
+  *out += ')';
 }
 
 size_t Atom::Hash() const {

@@ -35,6 +35,9 @@ class Atom {
   /// Renders as `p(t1,...,tn)`.
   std::string ToString() const;
 
+  /// Appends ToString() to `*out`, building no intermediate strings.
+  void AppendTo(std::string* out) const;
+
   /// Hash compatible with `operator==`.
   size_t Hash() const;
 

@@ -79,7 +79,17 @@ bool EvalCompOp(const Rational& a, CompOp op, const Rational& b) {
 }
 
 std::string Comparison::ToString() const {
-  return lhs_.ToString() + " " + CompOpToString(op_) + " " + rhs_.ToString();
+  std::string out;
+  AppendTo(&out);
+  return out;
+}
+
+void Comparison::AppendTo(std::string* out) const {
+  lhs_.AppendTo(out);
+  *out += ' ';
+  *out += CompOpToString(op_);
+  *out += ' ';
+  rhs_.AppendTo(out);
 }
 
 std::ostream& operator<<(std::ostream& os, const Comparison& c) {

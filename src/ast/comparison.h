@@ -71,6 +71,9 @@ class Comparison {
   /// Renders as `lhs op rhs`, e.g. `X <= 7`.
   std::string ToString() const;
 
+  /// Appends ToString() to `*out`, building no intermediate strings.
+  void AppendTo(std::string* out) const;
+
  private:
   Term lhs_;
   CompOp op_;

@@ -148,17 +148,20 @@ ConjunctiveQuery ConjunctiveQuery::Deduplicated() const {
 }
 
 std::string ConjunctiveQuery::ToString() const {
-  std::string out = head_.ToString() + " :- ";
+  std::string out;
+  out.reserve(32 * (1 + body_.size() + comparisons_.size()));
+  head_.AppendTo(&out);
+  out += " :- ";
   bool first = true;
   for (const Atom& a : body_) {
     if (!first) out += ", ";
     first = false;
-    out += a.ToString();
+    a.AppendTo(&out);
   }
   for (const Comparison& c : comparisons_) {
     if (!first) out += ", ";
     first = false;
-    out += c.ToString();
+    c.AppendTo(&out);
   }
   if (first) out += "true";
   return out;

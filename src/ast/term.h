@@ -68,6 +68,15 @@ class Term {
     return is_variable_ ? name_ : constant_.ToString();
   }
 
+  /// Appends ToString() to `*out`.
+  void AppendTo(std::string* out) const {
+    if (is_variable_) {
+      *out += name_;
+    } else {
+      *out += constant_.ToString();
+    }
+  }
+
   /// Hash compatible with `operator==`.  The variable/constant tag is
   /// mixed in with a splitmix-style combine rather than a plain xor, so a
   /// variable and a constant whose underlying hashes collide still spread

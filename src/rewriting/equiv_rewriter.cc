@@ -571,30 +571,106 @@ DatabaseOutcome ProcessCanonicalDatabase(const RewriteWork& work,
   return out;
 }
 
+/// The order-pinned part E_S of `collapsed`, the expansion of `pre` with
+/// its forced equalities `forced` applied: the atoms all of whose
+/// variables are images of variables pinned by `pre`'s projected total
+/// order (its comparisons and head), and the comparisons over those
+/// atoms' variables.  nullopt when the part does not cover the head.  The
+/// identity maps E_S into `collapsed`, so a "contained" verdict on E_S
+/// carries over to the expansion (docs/ALGORITHM.md §3).
+static std::optional<ConjunctiveQuery> OrderPinnedPart(
+    const ConjunctiveQuery& collapsed, const ConjunctiveQuery& pre,
+    const Substitution& forced) {
+  std::set<std::string> pinned;
+  const auto pin = [&](const Term& t) {
+    if (!t.IsVariable()) return;
+    const Term image = forced.Apply(t);
+    if (image.IsVariable()) pinned.insert(image.name());
+  };
+  for (const Comparison& c : pre.comparisons()) {
+    pin(c.lhs());
+    pin(c.rhs());
+  }
+  for (const Term& t : pre.head().args()) pin(t);
+
+  std::vector<Atom> part;
+  std::set<std::string> part_vars;
+  for (const Atom& atom : collapsed.body()) {
+    const bool all_pinned = std::all_of(
+        atom.args().begin(), atom.args().end(), [&pinned](const Term& t) {
+          return t.IsConstant() || pinned.count(t.name()) > 0;
+        });
+    if (!all_pinned) continue;
+    part.push_back(atom);
+    for (const Term& t : atom.args()) {
+      if (t.IsVariable()) part_vars.insert(t.name());
+    }
+  }
+  const auto in_part = [&part_vars](const Term& t) {
+    return t.IsConstant() || part_vars.count(t.name()) > 0;
+  };
+  const std::vector<Term>& head = collapsed.head().args();
+  if (part.empty() || !std::all_of(head.begin(), head.end(), in_part)) {
+    return std::nullopt;
+  }
+  std::vector<Comparison> comparisons;
+  for (const Comparison& c : collapsed.comparisons()) {
+    if (in_part(c.lhs()) && in_part(c.rhs())) comparisons.push_back(c);
+  }
+  return ConjunctiveQuery(collapsed.head(), std::move(part),
+                          std::move(comparisons))
+      .Deduplicated();
+}
+
+/// Phase 2 for one Pre-Rewriting: a cheap sound test on the order-pinned
+/// part of the expansion first, the full simplify + memo + canonical test
+/// only when that test does not settle the check.
 static Phase2Outcome CheckExpansionContainedImpl(const RewriteWork& work,
                                                  const ConjunctiveQuery& pre,
                                                  MemoCache* memo) {
   ConjunctiveQuery expansion;
   {
     CQAC_TRACE_SPAN("phase2.expand");
-    expansion =
-        ExpandForCheck(pre, work.views, work.options.simplify_expansions);
+    expansion = Expand(pre, work.views);
+  }
+  Phase2Outcome out;
+  {
+    CQAC_TRACE_SPAN("phase2.pinned_check");
+    const std::optional<Substitution> forced =
+        AcSolver::ForcedEqualities(expansion.comparisons());
+    if (!forced.has_value()) {
+      // Unsatisfiable: the expansion computes nothing.
+      out.contained = true;
+      return out;
+    }
+    const std::optional<ConjunctiveQuery> part = OrderPinnedPart(
+        expansion.ApplySubstitution(*forced), pre, *forced);
+    if (part.has_value()) {
+      ContainmentStats cstats;
+      out.contained = CqacContainedCanonical(*part, work.query, &cstats);
+      out.orders_enumerated = cstats.orders_enumerated;
+      if (out.contained) return out;
+    }
+  }
+  out.full_check = true;
+  CQAC_TRACE_SPAN("phase2.full_check");
+  if (work.options.simplify_expansions) {
+    std::optional<ConjunctiveQuery> simplified = SimplifyQuery(expansion);
+    if (simplified.has_value()) expansion = *std::move(simplified);
   }
   std::string key;
   if (memo != nullptr) {
     CQAC_TRACE_SPAN("phase2.memo_probe");
     key = ContainmentMemoKey(expansion, work.query);
     if (std::optional<bool> cached = memo->Get(key); cached.has_value()) {
-      Phase2Outcome out;
       out.contained = *cached;
       out.cache_hit = true;
       return out;
     }
   }
   ContainmentStats cstats;
-  Phase2Outcome out;
   out.contained = CqacContainedCanonical(expansion, work.query, &cstats);
-  out.orders_enumerated = cstats.orders_enumerated;
+  out.orders_enumerated += cstats.orders_enumerated;
   if (memo != nullptr) memo->Put(key, out.contained);
   return out;
 }
@@ -609,7 +685,12 @@ Phase2Outcome CheckExpansionContained(const RewriteWork& work,
   if (obs::MetricsActive()) {
     static obs::Histogram& wall =
         obs::MetricsRegistry::Global().histogram("phase2.check_wall_ns");
+    // Registered with the first check, so a run the order-pinned test
+    // settles entirely still exports an explicit zero.
+    static obs::Counter& full_checks =
+        obs::MetricsRegistry::Global().counter("phase2.full_checks");
     wall.Observe(out.wall_ns);
+    if (out.full_check) full_checks.Add(1);
   }
   return out;
 }
@@ -619,6 +700,16 @@ void FinalizeFoundRewriting(const RewriteWork& work,
                             RewriteResult* result) {
   CQAC_TRACE_SPAN("finalize");
   const RewriteOptions& options = work.options;
+  // Polled between minimize steps and before verify, the passes whose
+  // cost grows with the union.
+  const auto aborted_by_cancel = [&options, result] {
+    if (options.cancel == nullptr || !options.cancel->cancelled()) {
+      return false;
+    }
+    result->outcome = RewriteOutcome::kAborted;
+    result->failure_reason = kCancelledReason;
+    return true;
+  };
 
   UnionQuery rewriting(std::move(pre_rewritings));
   if (options.coalesce_output) rewriting = CoalesceUnion(rewriting);
@@ -649,6 +740,7 @@ void FinalizeFoundRewriting(const RewriteWork& work,
   if (options.minimize_output && rewriting.size() > 1) {
     std::vector<ConjunctiveQuery> disjuncts = rewriting.disjuncts();
     for (size_t i = 0; i < disjuncts.size() && disjuncts.size() > 1;) {
+      if (aborted_by_cancel()) return;
       UnionQuery others_expanded;
       for (size_t j = 0; j < disjuncts.size(); ++j) {
         if (j != i) {
@@ -667,6 +759,7 @@ void FinalizeFoundRewriting(const RewriteWork& work,
     rewriting = UnionQuery(std::move(disjuncts));
   }
 
+  if (aborted_by_cancel()) return;
   result->rewriting = std::move(rewriting);
   result->outcome = RewriteOutcome::kRewritingFound;
 

@@ -46,9 +46,11 @@ struct RewriteOptions {
   };
   Pruning pruning = Pruning::kFrozenMatch;
 
-  /// Simplify expansions (forced equalities, redundant comparisons) before
-  /// the Phase-2 containment check.  Equivalence-preserving; dramatically
-  /// reduces the number of variables the check enumerates.
+  /// Simplify expansions (forced equalities, redundant comparisons,
+  /// folding) before the full Phase-2 containment check — the fallback
+  /// taken when the order-pinned test does not settle a check (see
+  /// CheckExpansionContained).  Equivalence-preserving; dramatically
+  /// reduces the number of variables the full check enumerates.
   bool simplify_expansions = true;
 
   /// Independently verify the produced rewriting (both containment
@@ -109,11 +111,12 @@ struct RewriteOptions {
   /// Cooperative cancellation (runtime/cancellation.h), the mechanism
   /// behind per-request deadlines in the rewrite service.  When non-null,
   /// the driver polls the token at canonical-database and Phase-2
-  /// containment-check boundaries and abort with outcome kAborted and
+  /// containment-check boundaries, and finalize before each minimize step
+  /// and before verify, and aborts with outcome kAborted and
   /// failure_reason "cancelled" as soon as it is set.  Abort latency is
-  /// therefore bounded by one work unit (one ProcessCanonicalDatabase or
-  /// one CheckExpansionContained call), not by the whole run.  The caller
-  /// keeps ownership; the token must outlive Run().
+  /// therefore bounded by one work unit (one ProcessCanonicalDatabase,
+  /// CheckExpansionContained or minimize step), not by the whole run.
+  /// The caller keeps ownership; the token must outlive Run().
   const CancellationToken* cancel = nullptr;
 };
 
@@ -351,23 +354,36 @@ DatabaseOutcome ProcessCanonicalDatabase(const RewriteWork& work,
 /// What the Phase-2 containment check concluded about one Pre-Rewriting.
 struct Phase2Outcome {
   bool contained = false;
-  int64_t orders_enumerated = 0;  // 0 when served from the memo cache
+  /// Canonical databases visited by the check's containment tests: the
+  /// order-pinned test's (usually one) plus, on a full check, the full
+  /// test's; a memo hit adds none for the full test.
+  int64_t orders_enumerated = 0;
+  /// The order-pinned test did not settle the check, so the full
+  /// simplify + memo + canonical test ran (counted as phase2.full_checks).
+  bool full_check = false;
   bool cache_hit = false;
   int64_t wall_ns = 0;  // elapsed time of this check (incl. memo probe)
 };
 
-/// Expands `pre` with respect to the views (simplifying when the options
-/// say so) and tests containment in the query.  When `memo` is non-null
-/// the verdict is memoized under a normalized (expansion, query) key —
-/// the verdict is a pure function of that key, so memoization never
-/// changes results, only `orders_enumerated`.
+/// Expands `pre` with respect to the views and tests containment in the
+/// query.  The expansion E is collapsed by its forced equalities (an
+/// unsatisfiable E is contained); then its order-pinned part E_S — the
+/// atoms all of whose variables `pre`'s total order pins, with the
+/// comparisons over them — is tested first: E ⊑ E_S by the identity
+/// mapping, so E_S ⊑ query settles the check.  Otherwise the full test
+/// runs on E (simplified when options.simplify_expansions).  When `memo`
+/// is non-null the full test's verdict is memoized under a normalized
+/// (expansion, query) key — the verdict is a pure function of that key,
+/// so memoization never changes results, only `orders_enumerated`.
 Phase2Outcome CheckExpansionContained(const RewriteWork& work,
                                       const ConjunctiveQuery& pre,
                                       MemoCache* memo);
 
 /// The post-Phase-2 tail of the driver: coalescing, the weakened-pruning
 /// Lemma-2 check, output minimization, and optional verification.  Sets
-/// result->outcome / rewriting / verified / failure_reason.
+/// result->outcome / rewriting / verified / failure_reason.  Polls
+/// work.options.cancel before each minimize step and before verify; a
+/// set token ends the pass with kAborted and kCancelledReason.
 void FinalizeFoundRewriting(const RewriteWork& work,
                             std::vector<ConjunctiveQuery> pre_rewritings,
                             RewriteResult* result);

@@ -381,7 +381,7 @@ RewriteResult ParallelRewritePreparedImpl(const RewriteWork& work,
     result.stats.phase2_ns += slot.outcome.wall_ns;
     if (slot.outcome.cache_hit) {
       ++report->cache_hits;
-    } else {
+    } else if (slot.outcome.full_check) {
       ++report->cache_misses;
     }
     if (explain) {

@@ -27,8 +27,10 @@ struct ParallelRewriteReport {
   int64_t phase2_tasks_executed = 0;
   int64_t phase2_tasks_cancelled = 0;
 
-  int64_t cache_hits = 0;    // Phase-2 verdicts served from the memo
-  int64_t cache_misses = 0;  // Phase-2 verdicts computed
+  // Full Phase-2 checks (Phase2Outcome::full_check) served from the memo
+  // or computed; checks the order-pinned test settles are neither.
+  int64_t cache_hits = 0;
+  int64_t cache_misses = 0;
 
   int64_t tasks_stolen = 0;  // pool-level: tasks taken from a sibling queue
 };
@@ -51,10 +53,10 @@ struct ParallelRewriteReport {
 /// cache the *answer* (outcome, rewriting, failure reason, trace) is
 /// still byte-identical — verdicts are pure functions of their keys — but
 /// the work counter `stats.phase2_orders` is not: a cached verdict
-/// enumerates 0 orders, and which checks hit depends on the cache's prior
-/// contents and, under a shared cache, on scheduling (two threads can
-/// race the same key to a double miss).  The same applies to
-/// `report->cache_hits/misses`.
+/// enumerates no orders in the full test, and which checks hit depends
+/// on the cache's prior contents and, under a shared cache, on
+/// scheduling (two threads can race the same key to a double miss).  The
+/// same applies to `report->cache_hits/misses`.
 ///
 /// `options.jobs` selects the thread count (0 = hardware concurrency).
 /// For jobs > 1, a supplied `pool` is used instead of building one, and

@@ -1,10 +1,13 @@
 #include "testing/differential.h"
 
+#include <set>
 #include <sstream>
 
 #include "catalog/view_catalog.h"
+#include "containment/cqac_containment.h"
 #include "containment/homomorphism.h"
 #include "engine/coded_eval.h"
+#include "rewriting/expansion.h"
 #include "runtime/memo_cache.h"
 
 namespace cqac {
@@ -244,6 +247,51 @@ DifferentialReport RunConfigLattice(
       report.failure = "signature diverges from serial baseline\n--- baseline\n" +
                        report.baseline.ToString() + "\n--- " + config.Name() +
                        "\n" + sig.ToString();
+      return report;
+    }
+  }
+  return report;
+}
+
+std::vector<ConjunctiveQuery> AllPreRewritings(const RewriteWork& work) {
+  std::vector<ConjunctiveQuery> pres;
+  std::set<std::string> seen;
+  ForEachTotalOrder(
+      work.query.AllVariables(), work.constants,
+      [&](const TotalOrder& order) {
+        DatabaseOutcome outcome = ProcessCanonicalDatabase(work, order);
+        if (outcome.status == DatabaseOutcome::Status::kKept &&
+            seen.insert(outcome.pre_rewriting->ToString()).second) {
+          pres.push_back(*std::move(outcome.pre_rewriting));
+        }
+        return true;
+      });
+  return pres;
+}
+
+bool FullPathPhase2Verdict(const RewriteWork& work,
+                           const ConjunctiveQuery& pre) {
+  const ConjunctiveQuery expansion = Expand(pre, work.views);
+  const std::optional<ConjunctiveQuery> simplified = SimplifyQuery(expansion);
+  return CqacContainedCanonical(simplified.value_or(expansion), work.query);
+}
+
+Phase2Report CheckPhase2Verdicts(const FuzzCase& c) {
+  Phase2Report report;
+  const RewriteOptions options;
+  const RewriteWork work = PrepareRewriteWork(c.query, c.views, options);
+  for (const ConjunctiveQuery& pre : AllPreRewritings(work)) {
+    const Phase2Outcome outcome =
+        CheckExpansionContained(work, pre, /*memo=*/nullptr);
+    ++report.checks;
+    if (outcome.full_check) ++report.full_checks;
+    const bool reference = FullPathPhase2Verdict(work, pre);
+    if (outcome.contained != reference) {
+      report.ok = false;
+      report.failure = std::string("Phase-2 verdict ") +
+                       (outcome.contained ? "contained" : "not contained") +
+                       " differs from the full-path reference on " +
+                       pre.ToString();
       return report;
     }
   }

@@ -151,6 +151,31 @@ struct DifferentialReport {
 DifferentialReport RunConfigLattice(const FuzzCase& c,
                                     const std::vector<LatticeConfig>& lattice);
 
+/// Every distinct Pre-Rewriting Phase 1 builds for `work`'s query: one per
+/// canonical database it keeps, in enumeration order.  Unlike the driver
+/// it enumerates past a failing database, so every Phase-2 input the
+/// query can produce is covered.
+std::vector<ConjunctiveQuery> AllPreRewritings(const RewriteWork& work);
+
+/// The Phase-2 verdict by the full path alone, the reference for
+/// CheckExpansionContained: the canonical-database test on the simplified
+/// expansion of `pre` (the raw expansion when it is unsatisfiable).
+bool FullPathPhase2Verdict(const RewriteWork& work,
+                           const ConjunctiveQuery& pre);
+
+/// The verdict of CheckPhase2Verdicts on one case.
+struct Phase2Report {
+  bool ok = true;
+  int64_t checks = 0;       // Pre-Rewritings checked
+  int64_t full_checks = 0;  // of those, checks the order-pinned test left
+  std::string failure;      // the first mismatch, when !ok
+};
+
+/// Runs CheckExpansionContained on every Pre-Rewriting of `c` (default
+/// options) and compares each verdict with FullPathPhase2Verdict.  Stops
+/// at the first mismatch.
+Phase2Report CheckPhase2Verdicts(const FuzzCase& c);
+
 }  // namespace testing
 }  // namespace cqac
 

@@ -221,6 +221,30 @@ TEST(EquivRewriterTest, MinimizeOutputDropsCoveredDisjuncts) {
                                     Views("v(T) :- a(T), T < 7.")));
 }
 
+// Finalize polls the token too: with a pre-cancelled token it ends with
+// the cancellation abort instead of minimizing and verifying the union.
+TEST(EquivRewriterTest, FinalizeHonoursPreCancelledToken) {
+  const ConjunctiveQuery query = Parser::MustParseRule("q(X) :- a(X), X < 7");
+  const ViewSet views = Views("v(T) :- a(T), T < 7.");
+  CancellationToken token;
+  token.Cancel();
+  for (const bool minimize : {true, false}) {
+    RewriteOptions options;
+    options.minimize_output = minimize;
+    options.verify = true;
+    options.cancel = &token;
+    const RewriteWork work = PrepareRewriteWork(query, views, options);
+    std::vector<ConjunctiveQuery> pres = {
+        Parser::MustParseRule("q(X) :- v(X), X < 7"),
+        Parser::MustParseRule("q(X) :- v(X), X < 3")};
+    RewriteResult result;
+    FinalizeFoundRewriting(work, std::move(pres), &result);
+    EXPECT_EQ(result.outcome, RewriteOutcome::kAborted) << minimize;
+    EXPECT_EQ(result.failure_reason, kCancelledReason) << minimize;
+    EXPECT_FALSE(result.verified) << minimize;
+  }
+}
+
 // Ablations: all pruning modes must agree on the answer.
 class PruningModeProperty
     : public ::testing::TestWithParam<RewriteOptions::Pruning> {};

@@ -287,12 +287,12 @@ TEST(ParallelRewriterTest, AbortBudgetParity) {
 }
 
 // A shared memo cache never changes answers, and a second identical run
-// is served from it.
+// is served from it.  Only full Phase-2 checks touch the memo, so the
+// input is one whose check the order-pinned test cannot settle: the
+// view's existential B leaves no pinned atom covering the head.
 TEST(ParallelRewriterTest, SharedMemoCacheIsTransparent) {
-  const ConjunctiveQuery query = Parser::MustParseRule(
-      "q(A) :- r(A), s(A,A), A <= 8");
-  const ViewSet views(Parser::MustParseProgram(
-      "v(Y,Z) :- r(X), s(Y,Z), Y <= X, X <= Z."));
+  const ConjunctiveQuery query = Parser::MustParseRule("q(A) :- r(A,B)");
+  const ViewSet views(Parser::MustParseProgram("v(A) :- r(A,B)."));
 
   RewriteOptions options;
   options.jobs = 2;
@@ -308,11 +308,13 @@ TEST(ParallelRewriterTest, SharedMemoCacheIsTransparent) {
 
   EXPECT_EQ(first.outcome, RewriteOutcome::kRewritingFound);
   EXPECT_EQ(first.rewriting.ToString(), second.rewriting.ToString());
+  EXPECT_EQ(second.outcome, first.outcome);
   EXPECT_EQ(first_report.cache_hits, 0);
+  EXPECT_GT(first_report.cache_misses, 0);
   EXPECT_GT(second_report.cache_hits, 0);
   EXPECT_EQ(second_report.cache_misses, 0);
-  // Memoized checks report zero enumerated orders; everything else about
-  // the result is unchanged.
+  // A memo hit enumerates no orders, and this input's check runs no
+  // order-pinned test; everything else about the result is unchanged.
   EXPECT_EQ(second.stats.phase2_checks, first.stats.phase2_checks);
   EXPECT_EQ(second.stats.phase2_orders, 0);
 }

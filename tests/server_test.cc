@@ -37,6 +37,12 @@ constexpr char kPaperJob[] =
     "view v(Y,Z) :- r(X), s(Y,Z), Y <= X, X <= Z\n"
     "query q(A) :- r(A), s(A,A), A <= 8\n";
 
+// Its one Phase-2 check falls back to the full test, which consults the
+// shared containment memo (the paper's job is settled before the memo).
+constexpr char kFallbackJob[] =
+    "view v(A) :- r(A,B)\n"
+    "query q(A) :- r(A,B)\n";
+
 // A 7-variable chain: ~1 s of Phase 1 on one core when uncancelled, so a
 // deadline of a few ms reliably fires mid-run.
 constexpr char kHeavyJob[] =
@@ -211,7 +217,7 @@ TEST(ServerTest, ServesEightConcurrentConnections) {
       }
       for (int r = 0; r < kRequestsPerConnection; ++r) {
         const uint64_t id = static_cast<uint64_t>(c) * 100 + r;
-        if (!client.SendRequest(id, RequestBody(kPaperJob))) {
+        if (!client.SendRequest(id, RequestBody(kFallbackJob))) {
           failures[c] = 2;
           return;
         }
@@ -237,7 +243,8 @@ TEST(ServerTest, ServesEightConcurrentConnections) {
   const BatchSummary summary = ts.server->summary();
   EXPECT_EQ(summary.jobs_total, kConnections * kRequestsPerConnection);
   EXPECT_EQ(summary.found, kConnections * kRequestsPerConnection);
-  // One shared memo cache across connections: repeats hit.
+  // One shared memo cache across connections: repeats hit (every
+  // connection's later requests at least).
   EXPECT_GT(summary.cache.hits, 0);
 }
 

@@ -6,8 +6,10 @@
 //      memo on/off, Phase-2 memo cache on/off, pruned vs legacy order
 //      enumeration, compiled vs legacy containment mapping, verify) and
 //      diffs the invariant signatures;
-//   2. checks any found rewriting against the brute-force semantic oracle
-//      (canonical, random, and exhaustive small databases);
+//   2. checks every Phase-2 verdict (one per Pre-Rewriting) against the
+//      full-path reference, and any found rewriting against the
+//      brute-force semantic oracle (canonical, random, and exhaustive
+//      small databases);
 //   3. applies a random metamorphic mutation and asserts its declared
 //      effect, then puts the mutant through 1-2 as a fresh input.
 // Failures are greedily shrunk and written as ready-to-paste corpus files.
@@ -192,7 +194,7 @@ WorkloadConfig DrawConfig(std::mt19937_64& meta, bool tiers) {
 }
 
 struct Finding {
-  std::string kind;     // "lattice", "oracle", "metamorphic"
+  std::string kind;     // "lattice", "phase2", "oracle", "metamorphic"
   std::string detail;   // what diverged / the counterexample
   FuzzCase c;           // the failing case (mutant for metamorphic)
   bool shrinkable = true;
@@ -226,6 +228,16 @@ class Fuzzer {
       Finding f;
       f.kind = "lattice";
       f.detail = "config [" + report.divergent_config + "]: " + report.failure;
+      f.c = c;
+      return f;
+    }
+    const Phase2Report phase2 = CheckPhase2Verdicts(c);
+    phase2_checks_ += phase2.checks;
+    phase2_full_checks_ += phase2.full_checks;
+    if (!phase2.ok) {
+      Finding f;
+      f.kind = "phase2";
+      f.detail = phase2.failure;
       f.c = c;
       return f;
     }
@@ -384,12 +396,15 @@ class Fuzzer {
     std::fprintf(stderr,
                  "cqacfuzz: %lld cases, %lld lattice points/case, "
                  "%lld oracle orders, %lld oracle databases, "
-                 "%lld partially-checked, %lld findings\n",
+                 "%lld partially-checked, %lld Phase-2 verdicts "
+                 "(%lld full checks), %lld findings\n",
                  static_cast<long long>(cases_),
                  static_cast<long long>(lattice_.size()),
                  static_cast<long long>(oracle_orders_),
                  static_cast<long long>(oracle_databases_),
                  static_cast<long long>(oracle_partial_),
+                 static_cast<long long>(phase2_checks_),
+                 static_cast<long long>(phase2_full_checks_),
                  static_cast<long long>(findings_));
     return findings_ == 0 ? 0 : 1;
   }
@@ -425,6 +440,8 @@ class Fuzzer {
   int64_t oracle_orders_ = 0;
   int64_t oracle_databases_ = 0;
   int64_t oracle_partial_ = 0;
+  int64_t phase2_checks_ = 0;
+  int64_t phase2_full_checks_ = 0;
 };
 
 int Main(int argc, char** argv) {
