@@ -1,21 +1,22 @@
-// Row engine vs coded columnar engine, head to head on the canonical-
-// database workloads the rewriter actually runs:
+// The coded columnar engine on the canonical-database workloads the
+// rewriter actually runs.  (The benchmark names keep their
+// historical `_Columnar` suffix so new runs line up with the recorded
+// results in results/; the `_Row` rows there measured the retired
+// row-major canonical copy.)
 //
-//   - BM_Containment_Canonical_{Row,Columnar}: full CqacContainedCanonical
-//     over a chain query family (ordered-Bell-sized enumerations).  Both
-//     variants report satisfying_orders; identical counters prove the
-//     engines walked the same databases, so wall-time ratios are
-//     apples-to-apples.
-//   - BM_FreezeEvaluate_{Row,Columnar}: the per-database inner loop in
+//   - BM_Containment_Canonical_Columnar: full CqacContainedCanonical
+//     over a chain query family (ordered-Bell-sized enumerations),
+//     reporting satisfying_orders.
+//   - BM_FreezeEvaluate_Columnar: the per-database inner loop in
 //     isolation (enumeration excluded) — delta freeze plus match-mode
-//     evaluation over a pre-collected order list.  The columnar variant's
-//     allocs_per_iter counter should read 0 in steady state (the
-//     alloc_gate_test enforces the same property as a hard gate).
+//     evaluation over a pre-collected order list.  Its allocs_per_iter
+//     counter should read 0 in steady state (the alloc_gate_test
+//     enforces the same property as a hard gate).
 //   - BM_DictionaryBuild: ahead-of-time cost of seeding + ranking the
 //     canonical value pool — the price paid once per RewriteWork for the
 //     no-mid-run-rebuild guarantee.
-//   - BM_IndexGateCrossover_{Row,Columnar}: match-mode evaluation against
-//     a single frozen chain database of `rows` subgoal tuples, sweeping
+//   - BM_IndexGateCrossover_Columnar: match-mode evaluation against a
+//     single frozen chain database of `rows` subgoal tuples, sweeping
 //     rows across the kFilterGate=8 and kIndexGate=32 strategy gates.
 //
 // tools/run_benches.sh columnar_engine records this binary's --json
@@ -31,7 +32,7 @@
 #include "containment/cqac_containment.h"
 #include "engine/canonical.h"
 #include "engine/coded_eval.h"
-#include "engine/evaluate.h"
+#include "engine/query_plan.h"
 #include "engine/value_dict.h"
 #include "parser/parser.h"
 
@@ -41,10 +42,9 @@ using cqac::CanonicalFreezer;
 using cqac::CodedEvaluator;
 using cqac::ConjunctiveQuery;
 using cqac::ContainmentStats;
-using cqac::FlatInstance;
 using cqac::OrderSymmetry;
 using cqac::Parser;
-using cqac::PreparedQuery;
+using cqac::QueryPlan;
 using cqac::Rational;
 using cqac::TotalOrder;
 
@@ -61,26 +61,11 @@ ConjunctiveQuery ChainQuery(int v, bool with_comparison) {
   return Parser::MustParseRule(rule.str());
 }
 
-/// RAII row-engine selection for the timed region.
-class ScopedRowEngine {
- public:
-  explicit ScopedRowEngine(bool row)
-      : saved_(cqac::internal::RowEngineForced()) {
-    cqac::internal::ForceRowEngineForTest(row);
-  }
-  ~ScopedRowEngine() { cqac::internal::ForceRowEngineForTest(saved_); }
-
- private:
-  bool saved_;
-};
-
-void RunContainment(benchmark::State& state, bool row_engine,
-                    bool with_comparison) {
+void RunContainment(benchmark::State& state, bool with_comparison) {
   const int v = static_cast<int>(state.range(0));
   const ConjunctiveQuery q1 = ChainQuery(v, with_comparison);
   const ConjunctiveQuery q2 = Parser::MustParseRule(
       with_comparison ? "q(A) :- e(A,B), A < 8" : "q(A) :- e(A,B)");
-  const ScopedRowEngine engine(row_engine);
   ContainmentStats stats;
   bool contained = false;
   const cqac::testing::AllocCounterScope allocs;
@@ -95,13 +80,8 @@ void RunContainment(benchmark::State& state, bool row_engine,
       static_cast<double>(stats.orders_satisfying);
 }
 
-void BM_Containment_Canonical_Row(benchmark::State& state) {
-  RunContainment(state, /*row_engine=*/true, /*with_comparison=*/false);
-}
-BENCHMARK(BM_Containment_Canonical_Row)->DenseRange(3, 6);
-
 void BM_Containment_Canonical_Columnar(benchmark::State& state) {
-  RunContainment(state, /*row_engine=*/false, /*with_comparison=*/false);
+  RunContainment(state, /*with_comparison=*/false);
 }
 BENCHMARK(BM_Containment_Canonical_Columnar)->DenseRange(3, 6);
 
@@ -124,12 +104,11 @@ ConjunctiveQuery DenseQuery(int v) {
   return Parser::MustParseRule(rule.str());
 }
 
-void RunContainmentDense(benchmark::State& state, bool row_engine) {
+void BM_Containment_Canonical_Dense_Columnar(benchmark::State& state) {
   const int v = static_cast<int>(state.range(0));
   const ConjunctiveQuery q1 = DenseQuery(v);
   const ConjunctiveQuery q2 =
       Parser::MustParseRule("q(A) :- e(A,B), e(B,C), e(C,D), e(D,E)");
-  const ScopedRowEngine engine(row_engine);
   ContainmentStats stats;
   bool contained = false;
   const cqac::testing::AllocCounterScope allocs;
@@ -144,14 +123,6 @@ void RunContainmentDense(benchmark::State& state, bool row_engine) {
       static_cast<double>(stats.orders_satisfying);
 }
 
-void BM_Containment_Canonical_Dense_Row(benchmark::State& state) {
-  RunContainmentDense(state, /*row_engine=*/true);
-}
-BENCHMARK(BM_Containment_Canonical_Dense_Row)->DenseRange(4, 5);
-
-void BM_Containment_Canonical_Dense_Columnar(benchmark::State& state) {
-  RunContainmentDense(state, /*row_engine=*/false);
-}
 BENCHMARK(BM_Containment_Canonical_Dense_Columnar)->DenseRange(4, 5);
 
 /// Wide canonical databases: the canonical-containment evaluation loop
@@ -160,11 +131,10 @@ BENCHMARK(BM_Containment_Canonical_Dense_Columnar)->DenseRange(4, 5);
 /// tail, q2 a five-step walk.  Order enumeration is hoisted out of the
 /// timed region — it is shared, engine-independent work that at 30+
 /// variables would otherwise drown the per-database numbers (the
-/// end-to-end variants above keep it in).  Past rows = 32 the row engine
-/// re-derives a node-based hash index for every database while the coded
-/// engine probes a flat open-addressing table carved from the arena —
-/// the regime the data-oriented core is built for.
-void RunContainmentWide(benchmark::State& state, bool row_engine) {
+/// end-to-end variants above keep it in).  Past rows = 32 the engine
+/// probes a flat open-addressing table carved from the arena — the
+/// regime the data-oriented core is built for.
+void BM_Containment_Canonical_Wide_Columnar(benchmark::State& state) {
   const int rows = static_cast<int>(state.range(0));
   std::ostringstream rule;
   rule << "q(X0) :- ";
@@ -182,9 +152,8 @@ void RunContainmentWide(benchmark::State& state, bool row_engine) {
       "q(A) :- e(A,B), e(B,C), e(C,D), e(D,E), e(E,F)");
 
   CanonicalFreezer freezer(q1);
-  const PreparedQuery prepared(q2);
-  PreparedQuery::Scratch scratch;
-  CodedEvaluator coded(&prepared.plan());
+  const QueryPlan plan(q2);
+  CodedEvaluator coded(&plan);
   freezer.PrimeDictionary(q1.Constants(), q1.AllVariables().size());
   coded.BindTo(&freezer);
 
@@ -199,10 +168,7 @@ void RunContainmentWide(benchmark::State& state, bool row_engine) {
   int64_t matched = 0;
   for (const TotalOrder& order : orders) {  // Warm-up: arena high water.
     freezer.Freeze(order);
-    matched += row_engine
-                   ? prepared.Run(freezer.instance(), &freezer.frozen_head(),
-                                  nullptr, &scratch)
-                   : coded.Run(freezer, /*match_frozen_head=*/true, nullptr);
+    matched += coded.Run(freezer, /*match_frozen_head=*/true, nullptr);
   }
 
   const cqac::testing::AllocCounterScope allocs;
@@ -210,10 +176,7 @@ void RunContainmentWide(benchmark::State& state, bool row_engine) {
     matched = 0;
     for (const TotalOrder& order : orders) {
       freezer.Freeze(order);
-      matched += row_engine
-                     ? prepared.Run(freezer.instance(), &freezer.frozen_head(),
-                                    nullptr, &scratch)
-                     : coded.Run(freezer, /*match_frozen_head=*/true, nullptr);
+      matched += coded.Run(freezer, /*match_frozen_head=*/true, nullptr);
     }
     benchmark::DoNotOptimize(matched);
   }
@@ -225,39 +188,25 @@ void RunContainmentWide(benchmark::State& state, bool row_engine) {
   state.counters["matched"] = static_cast<double>(matched);
 }
 
-void BM_Containment_Canonical_Wide_Row(benchmark::State& state) {
-  RunContainmentWide(state, /*row_engine=*/true);
-}
-BENCHMARK(BM_Containment_Canonical_Wide_Row)->RangeMultiplier(2)->Range(32, 128);
-
-void BM_Containment_Canonical_Wide_Columnar(benchmark::State& state) {
-  RunContainmentWide(state, /*row_engine=*/false);
-}
 BENCHMARK(BM_Containment_Canonical_Wide_Columnar)
     ->RangeMultiplier(2)
     ->Range(32, 128);
 
-void BM_Containment_Comparisons_Row(benchmark::State& state) {
-  RunContainment(state, /*row_engine=*/true, /*with_comparison=*/true);
-}
-BENCHMARK(BM_Containment_Comparisons_Row)->DenseRange(3, 6);
-
 void BM_Containment_Comparisons_Columnar(benchmark::State& state) {
-  RunContainment(state, /*row_engine=*/false, /*with_comparison=*/true);
+  RunContainment(state, /*with_comparison=*/true);
 }
 BENCHMARK(BM_Containment_Comparisons_Columnar)->DenseRange(3, 6);
 
 /// The inner loop in isolation: orders are pre-collected, each iteration
 /// replays freeze + match-mode evaluation over the whole list.
-void RunFreezeEvaluate(benchmark::State& state, bool row_engine) {
+void BM_FreezeEvaluate_Columnar(benchmark::State& state) {
   const int v = static_cast<int>(state.range(0));
   const ConjunctiveQuery q1 = ChainQuery(v, /*with_comparison=*/false);
   const ConjunctiveQuery q2 = Parser::MustParseRule("q(A) :- e(A,B)");
 
   CanonicalFreezer freezer(q1);
-  const PreparedQuery prepared(q2);
-  PreparedQuery::Scratch scratch;
-  CodedEvaluator coded(&prepared.plan());
+  const QueryPlan plan(q2);
+  CodedEvaluator coded(&plan);
   freezer.PrimeDictionary(q1.Constants(), q1.AllVariables().size());
   coded.BindTo(&freezer);
 
@@ -272,22 +221,16 @@ void RunFreezeEvaluate(benchmark::State& state, bool row_engine) {
   // Warm-up pass: arena high-water mark, retained scratch capacities.
   int64_t matched = 0;
   for (const TotalOrder& order : orders) {
-    const FlatInstance& inst = freezer.Freeze(order);
-    matched += row_engine
-                   ? prepared.Run(inst, &freezer.frozen_head(), nullptr,
-                                  &scratch)
-                   : coded.Run(freezer, /*match_frozen_head=*/true, nullptr);
+    freezer.Freeze(order);
+    matched += coded.Run(freezer, /*match_frozen_head=*/true, nullptr);
   }
 
   const cqac::testing::AllocCounterScope allocs;
   for (auto _ : state) {
     matched = 0;
     for (const TotalOrder& order : orders) {
-      const FlatInstance& inst = freezer.Freeze(order);
-      matched += row_engine
-                     ? prepared.Run(inst, &freezer.frozen_head(), nullptr,
-                                    &scratch)
-                     : coded.Run(freezer, /*match_frozen_head=*/true, nullptr);
+      freezer.Freeze(order);
+      matched += coded.Run(freezer, /*match_frozen_head=*/true, nullptr);
     }
     benchmark::DoNotOptimize(matched);
   }
@@ -298,14 +241,6 @@ void RunFreezeEvaluate(benchmark::State& state, bool row_engine) {
   state.counters["matched"] = static_cast<double>(matched);
 }
 
-void BM_FreezeEvaluate_Row(benchmark::State& state) {
-  RunFreezeEvaluate(state, /*row_engine=*/true);
-}
-BENCHMARK(BM_FreezeEvaluate_Row)->DenseRange(4, 6);
-
-void BM_FreezeEvaluate_Columnar(benchmark::State& state) {
-  RunFreezeEvaluate(state, /*row_engine=*/false);
-}
 BENCHMARK(BM_FreezeEvaluate_Columnar)->DenseRange(4, 6);
 
 /// Seeding + ranking the canonical value pool for `num_vars` variables
@@ -330,7 +265,7 @@ BENCHMARK(BM_DictionaryBuild)->RangeMultiplier(2)->Range(4, 32);
 /// single satisfying order); q2's second subgoal enters with its first
 /// column bound, so the evaluator's per-depth strategy sweeps kScan →
 /// kFilter → kIndex as rows crosses 8 and 32.
-void RunIndexGateCrossover(benchmark::State& state, bool row_engine) {
+void BM_IndexGateCrossover_Columnar(benchmark::State& state) {
   const int rows = static_cast<int>(state.range(0));
   std::ostringstream rule;
   rule << "q(X0) :- ";
@@ -345,9 +280,8 @@ void RunIndexGateCrossover(benchmark::State& state, bool row_engine) {
       Parser::MustParseRule("q(A) :- e(A,B), e(B,C), e(C,D)");
 
   CanonicalFreezer freezer(q1);
-  const PreparedQuery prepared(q2);
-  PreparedQuery::Scratch scratch;
-  CodedEvaluator coded(&prepared.plan());
+  const QueryPlan plan(q2);
+  CodedEvaluator coded(&plan);
   freezer.PrimeDictionary(q1.Constants(), q1.AllVariables().size());
   coded.BindTo(&freezer);
 
@@ -366,16 +300,10 @@ void RunIndexGateCrossover(benchmark::State& state, bool row_engine) {
 
   bool matched = false;
   // Warm-up for the arena, then the timed evaluations.
-  matched = row_engine
-                ? prepared.Run(freezer.instance(), &freezer.frozen_head(),
-                               nullptr, &scratch)
-                : coded.Run(freezer, /*match_frozen_head=*/true, nullptr);
+  matched = coded.Run(freezer, /*match_frozen_head=*/true, nullptr);
   const cqac::testing::AllocCounterScope allocs;
   for (auto _ : state) {
-    matched = row_engine
-                  ? prepared.Run(freezer.instance(), &freezer.frozen_head(),
-                                 nullptr, &scratch)
-                  : coded.Run(freezer, /*match_frozen_head=*/true, nullptr);
+    matched = coded.Run(freezer, /*match_frozen_head=*/true, nullptr);
     benchmark::DoNotOptimize(matched);
   }
   cqac_bench::RecordAllocsPerIter(state, allocs);
@@ -383,14 +311,6 @@ void RunIndexGateCrossover(benchmark::State& state, bool row_engine) {
   state.counters["matched"] = matched ? 1 : 0;
 }
 
-void BM_IndexGateCrossover_Row(benchmark::State& state) {
-  RunIndexGateCrossover(state, /*row_engine=*/true);
-}
-BENCHMARK(BM_IndexGateCrossover_Row)->RangeMultiplier(2)->Range(4, 256);
-
-void BM_IndexGateCrossover_Columnar(benchmark::State& state) {
-  RunIndexGateCrossover(state, /*row_engine=*/false);
-}
 BENCHMARK(BM_IndexGateCrossover_Columnar)->RangeMultiplier(2)->Range(4, 256);
 
 }  // namespace

@@ -23,7 +23,8 @@
 #include "benchmark/benchmark.h"
 #include "constraints/orders.h"
 #include "engine/canonical.h"
-#include "engine/evaluate.h"
+#include "engine/coded_eval.h"
+#include "engine/query_plan.h"
 #include "parser/parser.h"
 #include "rewriting/equiv_rewriter.h"
 #include "rewriting/structure.h"
@@ -90,8 +91,7 @@ const char* const kKeepTestQuery =
 
 int64_t KeptUnderKeepTest(const std::vector<cqac::TotalOrder>& orders,
                           cqac::CanonicalFreezer& freezer,
-                          const cqac::PreparedQuery& prepared,
-                          cqac::PreparedQuery::Scratch& scratch,
+                          cqac::CodedEvaluator& coded,
                           cqac::GridVerdictCache* cache, std::string& key) {
   int64_t kept = 0;
   for (const cqac::TotalOrder& order : orders) {
@@ -102,9 +102,9 @@ int64_t KeptUnderKeepTest(const std::vector<cqac::TotalOrder>& orders,
         continue;
       }
     }
-    const cqac::FlatInstance& inst = freezer.Freeze(order);
+    freezer.Freeze(order);
     const bool computes =
-        prepared.Run(inst, &freezer.frozen_head(), nullptr, &scratch);
+        coded.Run(freezer, /*match_frozen_head=*/true, nullptr);
     if (cache != nullptr) cache->Put(key, computes);
     kept += computes;
   }
@@ -120,16 +120,17 @@ void BM_SemiIntervalKeepTest(benchmark::State& state) {
       cqac::EnumerateTotalOrders(query.AllVariables(), constants);
   cqac::CanonicalFreezer freezer(query);
   freezer.PrimeDictionary(constants, query.AllVariables().size());
-  const cqac::PreparedQuery prepared(query);
-  cqac::PreparedQuery::Scratch scratch;
+  const cqac::QueryPlan plan(query);
+  cqac::CodedEvaluator coded(&plan);
+  coded.BindTo(&freezer);
   std::string key;
-  const int64_t reference = KeptUnderKeepTest(orders, freezer, prepared,
-                                              scratch, nullptr, key);
+  const int64_t reference =
+      KeptUnderKeepTest(orders, freezer, coded, nullptr, key);
   // Warm mode measures a pre-populated cache — the cross-request
   // steady state the catalog's cached plan produces — so every probe hits.
   cqac::GridVerdictCache warm(query.AllVariables());
   if (mode == 2) {
-    KeptUnderKeepTest(orders, freezer, prepared, scratch, &warm, key);
+    KeptUnderKeepTest(orders, freezer, coded, &warm, key);
   }
   int64_t kept = 0;
   size_t classes = 0;
@@ -138,7 +139,7 @@ void BM_SemiIntervalKeepTest(benchmark::State& state) {
     cqac::GridVerdictCache cold(query.AllVariables());
     cqac::GridVerdictCache* cache =
         mode == 0 ? nullptr : (mode == 1 ? &cold : &warm);
-    kept = KeptUnderKeepTest(orders, freezer, prepared, scratch, cache, key);
+    kept = KeptUnderKeepTest(orders, freezer, coded, cache, key);
     classes = cache != nullptr ? cache->size() : 0;
     benchmark::DoNotOptimize(kept);
   }

@@ -47,7 +47,10 @@ Rational Rational::MidpointWith(const Rational& other) const {
 
 bool operator<(const Rational& a, const Rational& b) {
   // Denominators are positive, so cross-multiplication preserves order.
-  return a.num_ * b.den_ < b.num_ * a.den_;
+  // Each product of two int64 values fits in 128 bits, so the comparison
+  // is exact over the whole range.
+  return static_cast<__int128>(a.num_) * b.den_ <
+         static_cast<__int128>(b.num_) * a.den_;
 }
 
 std::string Rational::ToString() const {

@@ -17,9 +17,10 @@ namespace cqac {
 /// floating point when constants are close together.
 ///
 /// The representation is always normalized: `den > 0` and
-/// `gcd(|num|, den) == 1`.  The value range is deliberately modest (the
-/// algorithms only ever take midpoints and +/-1 around query constants), so
-/// overflow checking is omitted in favor of simplicity.
+/// `gcd(|num|, den) == 1`.  Ordering is exact over the whole 64-bit range
+/// (it cross-multiplies in 128 bits).  Arithmetic is not checked: the
+/// algorithms only ever take midpoints and +/-1 around query constants, so
+/// overflow there is left to the caller.
 class Rational {
  public:
   /// Zero.

@@ -17,7 +17,7 @@
 //    view's AC closure (satisfiability + forced equalities);
 //  * a catalog-scoped containment MemoCache, persistent across requests;
 //  * a plan cache: per (query, semantic options) a prepared RewriteWork —
-//    PreparedQuery, MiniCon buckets, MCD relations — plus a persistent
+//    compiled query plan, MiniCon buckets, MCD relations — plus a persistent
 //    catalog-scoped Phase-1 fingerprint memo.  A plan's stable work_id
 //    also keeps the per-thread freezer/evaluator/matcher caches inside
 //    ProcessCanonicalDatabase warm between requests, which is how the

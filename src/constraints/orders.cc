@@ -1,7 +1,6 @@
 #include "constraints/orders.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <set>
@@ -240,10 +239,10 @@ int64_t Binomial(int64_t n, int64_t k) {
 /// ForEachSatisfyingOrderPruned.
 ///
 /// Emits exactly the satisfying orders the naive enumerate-then-filter
-/// reference would (ForEachSatisfyingOrderLegacy), in the same sequence,
-/// modulo the symmetry reduction: pruning only removes subtrees containing
-/// no satisfying leaf, and symmetry only collapses orbits whose members
-/// the caller declared equivalent.
+/// reference would (testing::ForEachSatisfyingOrderReference), in the
+/// same sequence, modulo the symmetry reduction: pruning only removes
+/// subtrees containing no satisfying leaf, and symmetry only collapses
+/// orbits whose members the caller declared equivalent.
 ///
 /// The key invariant making prefix checks sound: once two terms are both
 /// placed, their relative order (<, =, >) never changes anywhere in the
@@ -668,12 +667,6 @@ void ForEachSatisfyingOrderPruned(
     OrderEnumerationStats* stats) {
   OrderEnumerationStats local;
   if (stats == nullptr) stats = &local;
-  if (internal::SatisfyingOrderFallbackForcedForTest()) {
-    internal::ForEachSatisfyingOrderLegacy(
-        variables, constants, axioms,
-        [&fn](const TotalOrder& order) { return fn(order, 1); }, stats);
-    return;
-  }
   const std::vector<Rational> sorted_constants =
       SortedUniqueConstants(constants);
   TotalOrder base = BaseOrder(sorted_constants);
@@ -762,62 +755,6 @@ std::vector<std::vector<std::string>> InterchangeableVariableGroups(
   std::sort(groups.begin(), groups.end());
   return groups;
 }
-
-namespace internal {
-
-namespace {
-std::atomic<bool> g_force_order_fallback{false};
-}  // namespace
-
-void ForceSatisfyingOrderFallbackForTest(bool forced) {
-  g_force_order_fallback.store(forced, std::memory_order_relaxed);
-}
-
-bool SatisfyingOrderFallbackForcedForTest() {
-  return g_force_order_fallback.load(std::memory_order_relaxed);
-}
-
-void ForEachSatisfyingOrderLegacy(
-    const std::vector<std::string>& variables,
-    const std::vector<Rational>& constants,
-    const std::vector<Comparison>& axioms,
-    const std::function<bool(const TotalOrder&)>& fn,
-    OrderEnumerationStats* stats) {
-  OrderEnumerationStats local;
-  if (stats == nullptr) stats = &local;
-  const std::vector<Rational> sorted_constants =
-      SortedUniqueConstants(constants);
-  TotalOrder base = BaseOrder(sorted_constants);
-  std::function<bool(size_t, TotalOrder*)> insert = [&](size_t next,
-                                                        TotalOrder* order) {
-    ++stats->nodes_visited;
-    if (next == variables.size()) {
-      if (!AcSolver::SatisfiedBy(axioms, order->ToAssignment())) return true;
-      ++stats->orders_emitted;
-      ++stats->orders_weighted;
-      return fn(*order);
-    }
-    const std::string& var = variables[next];
-    for (size_t b = 0; b < order->blocks.size(); ++b) {
-      order->blocks[b].variables.push_back(var);
-      const bool keep_going = insert(next + 1, order);
-      order->blocks[b].variables.pop_back();
-      if (!keep_going) return false;
-    }
-    OrderBlock fresh;
-    fresh.variables.push_back(var);
-    for (size_t gap = 0; gap <= order->blocks.size(); ++gap) {
-      order->blocks.insert(order->blocks.begin() + gap, fresh);
-      const bool keep_going = insert(next + 1, order);
-      order->blocks.erase(order->blocks.begin() + gap);
-      if (!keep_going) return false;
-    }
-    return true;
-  };
-  insert(0, &base);
-}
-
-}  // namespace internal
 
 int64_t CountTotalOrders(int num_variables) {
   if (num_variables < 0) return 0;

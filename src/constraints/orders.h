@@ -141,7 +141,7 @@ struct OrderSymmetry {
 ///
 /// When an axiom mentions a constant outside `constants` or a variable
 /// outside `variables`, positional checks cannot decide it; the
-/// enumeration falls back to the reference solver-based filter and ignores
+/// enumeration falls back to a solver-based filter per node and ignores
 /// `symmetry` (every multiplicity is 1).
 void ForEachSatisfyingOrderPruned(
     const std::vector<std::string>& variables,
@@ -164,32 +164,6 @@ std::vector<std::vector<std::string>> InterchangeableVariableGroups(
 /// The number of total orders of `num_variables` variables with no
 /// constants (ordered Bell / Fubini number).  Saturates at INT64_MAX.
 int64_t CountTotalOrders(int num_variables);
-
-namespace internal {
-
-/// The naive enumerate-then-filter reference: walks the full
-/// ForEachTotalOrder insertion tree and tests the axioms with the
-/// constraint solver at every leaf.  Retained as the differential-testing
-/// oracle for ForEachSatisfyingOrderPruned and as the "unpruned" side of
-/// bench_phase1's node counts.
-void ForEachSatisfyingOrderLegacy(
-    const std::vector<std::string>& variables,
-    const std::vector<Rational>& constants,
-    const std::vector<Comparison>& axioms,
-    const std::function<bool(const TotalOrder&)>& fn,
-    OrderEnumerationStats* stats = nullptr);
-
-/// Test-only switch: while forced, ForEachSatisfyingOrderPruned routes
-/// every enumeration through ForEachSatisfyingOrderLegacy (symmetry
-/// ignored, every multiplicity 1).  By the enumerator's contract the
-/// emitted satisfying orders are identical either way — only node/orbit
-/// counters change — and the differential fuzzer flips this switch to
-/// prove it on whole-algorithm outputs.  The flag is a relaxed atomic:
-/// flip it only while no enumeration is in flight.
-void ForceSatisfyingOrderFallbackForTest(bool forced);
-bool SatisfyingOrderFallbackForcedForTest();
-
-}  // namespace internal
 
 }  // namespace cqac
 

@@ -8,7 +8,7 @@
 #include "containment/normalization.h"
 #include "engine/canonical.h"
 #include "engine/coded_eval.h"
-#include "engine/evaluate.h"
+#include "engine/query_plan.h"
 
 namespace cqac {
 
@@ -48,24 +48,17 @@ bool CqacContainedCanonical(const ConjunctiveQuery& q1,
   std::vector<Rational> constants = q1.Constants();
   MergeConstants(q2.Constants(), &constants);
 
-  // Compile both sides once: q1's subgoals freeze into a flat instance per
-  // order, q2 runs as a prepared plan against it.  Head arities match, so
-  // ComputesTuple's arity precheck cannot fire.
-  //
-  // The plan normally executes on the coded columnar engine: the
-  // dictionary is primed with every value the enumeration can surface,
-  // so each order costs a delta freeze plus an all-integer evaluation
-  // with zero heap allocations.  The row engine remains reachable for
-  // the differential lattice.
+  // Compile both sides once: q1's subgoals freeze into a coded instance
+  // per order, q2 runs as a compiled plan on the coded columnar engine.
+  // The dictionary is primed with every value the enumeration can
+  // surface, so each order costs a delta freeze plus an all-integer
+  // evaluation with zero heap allocations.  Head arities match, so the
+  // engine's arity precheck cannot fire.
   CanonicalFreezer freezer(q1);
-  const PreparedQuery prepared(q2);
-  PreparedQuery::Scratch scratch;
-  CodedEvaluator coded(&prepared.plan());
-  const bool use_row_engine = internal::RowEngineForced();
-  if (!use_row_engine) {
-    freezer.PrimeDictionary(constants, q1.AllVariables().size());
-    coded.BindTo(&freezer);
-  }
+  const QueryPlan plan(q2);
+  CodedEvaluator coded(&plan);
+  freezer.PrimeDictionary(constants, q1.AllVariables().size());
+  coded.BindTo(&freezer);
 
   // Prefix-pruned, symmetry-reduced enumeration: swapping two
   // interchangeable q1 variables maps each canonical database to an
@@ -83,12 +76,8 @@ bool CqacContainedCanonical(const ConjunctiveQuery& q1,
           ++stats->orders_enumerated;
           stats->orders_satisfying += multiplicity;
         }
-        const FlatInstance& inst = freezer.Freeze(order);
-        const bool computes =
-            use_row_engine
-                ? prepared.Run(inst, &freezer.frozen_head(), nullptr, &scratch)
-                : coded.Run(freezer, /*match_frozen_head=*/true, nullptr);
-        if (!computes) {
+        freezer.Freeze(order);
+        if (!coded.Run(freezer, /*match_frozen_head=*/true, nullptr)) {
           contained = false;
           return false;  // Counterexample found; stop enumerating.
         }
@@ -251,23 +240,19 @@ bool CqacContainedInUnion(const ConjunctiveQuery& q, const UnionQuery& u,
   }
 
   CanonicalFreezer freezer(q);
-  std::vector<PreparedQuery> prepared;
-  prepared.reserve(u.disjuncts().size());
+  std::vector<QueryPlan> plans;
+  plans.reserve(u.disjuncts().size());
   for (const ConjunctiveQuery& disjunct : u.disjuncts()) {
-    prepared.emplace_back(disjunct);
+    plans.emplace_back(disjunct);
   }
-  PreparedQuery::Scratch scratch;
   // Coded engine per disjunct (evaluators hold plan pointers, so the
-  // prepared vector must not grow past this point).
-  const bool use_row_engine = internal::RowEngineForced();
+  // plans vector must not grow past this point).
+  freezer.PrimeDictionary(constants, q.AllVariables().size());
   std::vector<CodedEvaluator> coded;
-  if (!use_row_engine) {
-    freezer.PrimeDictionary(constants, q.AllVariables().size());
-    coded.reserve(prepared.size());
-    for (const PreparedQuery& pq : prepared) {
-      coded.emplace_back(&pq.plan());
-      coded.back().BindTo(&freezer);
-    }
+  coded.reserve(plans.size());
+  for (const QueryPlan& plan : plans) {
+    coded.emplace_back(&plan);
+    coded.back().BindTo(&freezer);
   }
 
   // Same orbit argument as CqacContainedCanonical: "some disjunct
@@ -285,18 +270,12 @@ bool CqacContainedInUnion(const ConjunctiveQuery& q, const UnionQuery& u,
           ++stats->orders_enumerated;
           stats->orders_satisfying += multiplicity;
         }
-        const FlatInstance& inst = freezer.Freeze(order);
+        freezer.Freeze(order);
         bool some_disjunct_computes = false;
-        for (size_t i = 0; i < prepared.size(); ++i) {
-          const PreparedQuery& pq = prepared[i];
-          if (pq.head_arity() != static_cast<int>(freezer.frozen_head().size())) {
-            continue;  // ComputesTuple skips arity-mismatched disjuncts.
-          }
-          const bool computes =
-              use_row_engine
-                  ? pq.Run(inst, &freezer.frozen_head(), nullptr, &scratch)
-                  : coded[i].Run(freezer, /*match_frozen_head=*/true, nullptr);
-          if (computes) {
+        for (CodedEvaluator& disjunct : coded) {
+          // Run returns false for an arity-mismatched disjunct, as
+          // ComputesTuple does.
+          if (disjunct.Run(freezer, /*match_frozen_head=*/true, nullptr)) {
             some_disjunct_computes = true;
             break;
           }

@@ -1,7 +1,6 @@
 #include "containment/homomorphism.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "containment/binding_trail.h"
 #include "containment/compiled_query.h"
@@ -198,59 +197,11 @@ class MappingSearch {
   std::vector<char> chosen_;
 };
 
-/// Legacy reference search (string substitutions copied per branch); kept
-/// only for differential testing of the compiled engine.
-bool LegacySearchMappings(const ConjunctiveQuery& from,
-                          const ConjunctiveQuery& to, size_t next_subgoal,
-                          const Substitution& current,
-                          const std::function<bool(const Substitution&)>& fn) {
-  if (next_subgoal == from.body().size()) return fn(current);
-  const Atom& subgoal = from.body()[next_subgoal];
-  for (const Atom& target : to.body()) {
-    std::optional<Substitution> extended =
-        UnifyAtomOnto(subgoal, target, current);
-    if (!extended.has_value()) continue;
-    if (!LegacySearchMappings(from, to, next_subgoal + 1, *extended, fn)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
-
-namespace internal {
-
-namespace {
-std::atomic<bool> g_force_legacy_mapping{false};
-}  // namespace
-
-void ForceLegacyContainmentMappingForTest(bool forced) {
-  g_force_legacy_mapping.store(forced, std::memory_order_relaxed);
-}
-
-bool LegacyContainmentMappingForcedForTest() {
-  return g_force_legacy_mapping.load(std::memory_order_relaxed);
-}
-
-void ForEachContainmentMappingLegacy(
-    const ConjunctiveQuery& from, const ConjunctiveQuery& to,
-    const std::function<bool(const Substitution&)>& fn) {
-  std::optional<Substitution> seed =
-      UnifyAtomOnto(from.head(), to.head(), Substitution());
-  if (!seed.has_value()) return;
-  LegacySearchMappings(from, to, 0, *seed, fn);
-}
-
-}  // namespace internal
 
 void ForEachContainmentMapping(
     const ConjunctiveQuery& from, const ConjunctiveQuery& to,
     const std::function<bool(const Substitution&)>& fn) {
-  if (internal::LegacyContainmentMappingForcedForTest()) {
-    internal::ForEachContainmentMappingLegacy(from, to, fn);
-    return;
-  }
   MappingSearch().Run(from, to, fn);
 }
 

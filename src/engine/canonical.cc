@@ -83,9 +83,14 @@ CanonicalFreezer::CanonicalFreezer(const ConjunctiveQuery& q) {
   subgoals_.reserve(q.body().size());
   for (const Atom& atom : q.body()) {
     CompiledSubgoal sg;
-    sg.relation = instance_.RelationId(atom.predicate(), atom.arity());
-    if (rows_per_relation.size() <= sg.relation) {
-      rows_per_relation.resize(sg.relation + 1, 0);
+    const std::optional<uint32_t> rel =
+        FindRelation(atom.predicate(), atom.arity());
+    if (rel.has_value()) {
+      sg.relation = *rel;
+    } else {
+      sg.relation = static_cast<uint32_t>(relations_.size());
+      relations_.emplace_back(atom.predicate(), atom.arity());
+      rows_per_relation.push_back(0);
     }
     sg.row = rows_per_relation[sg.relation]++;
     sg.terms.reserve(atom.args().size());
@@ -97,14 +102,13 @@ CanonicalFreezer::CanonicalFreezer(const ConjunctiveQuery& q) {
   var_values_.resize(var_slots_.size());
   var_blocks_.resize(var_slots_.size());
   var_codes_.resize(var_slots_.size());
-  rel_epochs_.resize(instance_.NumRelations(), 0);
+  rel_epochs_.resize(relations_.size(), 0);
 
-  // The coded twin: same relation ids, fixed row capacity (one row per
-  // owning subgoal).  Subgoal/head constants join the dictionary now;
-  // block values join via PrimeDictionary or on first sight.
-  rows_per_relation.resize(instance_.NumRelations(), 0);
-  for (uint32_t rel = 0; rel < instance_.NumRelations(); ++rel) {
-    columnar_.AddRelation(instance_.Arity(rel), rows_per_relation[rel]);
+  // Fixed row capacity per relation (one row per owning subgoal).
+  // Subgoal/head constants join the dictionary now; block values join via
+  // PrimeDictionary or on first sight.
+  for (uint32_t rel = 0; rel < relations_.size(); ++rel) {
+    columnar_.AddRelation(relations_[rel].second, rows_per_relation[rel]);
   }
   for (const CompiledSubgoal& sg : subgoals_) {
     for (const CompiledTerm& t : sg.terms) {
@@ -116,6 +120,16 @@ CanonicalFreezer::CanonicalFreezer(const ConjunctiveQuery& q) {
   }
   dict_.Rebuild();
   RecodeConstTerms();
+}
+
+std::optional<uint32_t> CanonicalFreezer::FindRelation(
+    const std::string& predicate, int arity) const {
+  for (uint32_t rel = 0; rel < relations_.size(); ++rel) {
+    if (relations_[rel].second == arity && relations_[rel].first == predicate) {
+      return rel;
+    }
+  }
+  return std::nullopt;
 }
 
 void CanonicalFreezer::RecodeConstTerms() {
@@ -228,7 +242,7 @@ void CanonicalFreezer::RebuildHead() {
   }
 }
 
-const FlatInstance& CanonicalFreezer::Freeze(const TotalOrder& order) {
+const ColumnarInstance& CanonicalFreezer::Freeze(const TotalOrder& order) {
   if (epoch_ == 0) return FreezeFull(order);
   LoadOrder(order, /*track=*/true);
   ++epoch_;
@@ -247,11 +261,6 @@ const FlatInstance& CanonicalFreezer::Freeze(const TotalOrder& order) {
       if (dict_rebuilt_) WriteCodeRow(sg);
       continue;
     }
-    Rational* row = instance_.MutableRow(sg.relation, sg.row);
-    for (size_t k = 0; k < sg.terms.size(); ++k) {
-      const CompiledTerm& t = sg.terms[k];
-      row[k] = t.is_const ? t.value : var_values_[t.slot];
-    }
     WriteCodeRow(sg);
     rel_epochs_[sg.relation] = epoch_;
     ++rewritten;
@@ -264,21 +273,13 @@ const FlatInstance& CanonicalFreezer::Freeze(const TotalOrder& order) {
         obs::MetricsRegistry::Global().counter("freezer.delta_rows");
     delta_rows.Add(rewritten);
   }
-  return instance_;
+  return columnar_;
 }
 
-const FlatInstance& CanonicalFreezer::FreezeFull(const TotalOrder& order) {
+const ColumnarInstance& CanonicalFreezer::FreezeFull(const TotalOrder& order) {
   LoadOrder(order, /*track=*/false);
   ++epoch_;
-  instance_.Clear();
-  for (const CompiledSubgoal& sg : subgoals_) {
-    row_.clear();
-    for (const CompiledTerm& t : sg.terms) {
-      row_.push_back(t.is_const ? t.value : var_values_[t.slot]);
-    }
-    instance_.AddRow(sg.relation, row_.data());
-    WriteCodeRow(sg);
-  }
+  for (const CompiledSubgoal& sg : subgoals_) WriteCodeRow(sg);
   for (uint64_t& e : rel_epochs_) e = epoch_;
   RebuildHead();
   if (obs::MetricsActive()) {
@@ -289,7 +290,7 @@ const FlatInstance& CanonicalFreezer::FreezeFull(const TotalOrder& order) {
         obs::MetricsRegistry::Global().counter("freezer.full_rows");
     rows.Add(static_cast<int64_t>(subgoals_.size()));
   }
-  return instance_;
+  return columnar_;
 }
 
 Term CanonicalFreezer::UnfreezeValue(const Rational& value) const {

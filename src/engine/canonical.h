@@ -3,8 +3,10 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "ast/query.h"
@@ -58,9 +60,10 @@ CanonicalDatabase FreezeQueryDistinct(const ConjunctiveQuery& q);
 
 /// Compiled canonical-database freezing for the containment hot loop: the
 /// query's subgoals and head are lowered once to (relation id, value-slot)
-/// form, and each Freeze call fills a FlatInstance from a total order's
-/// block values without rebuilding map/set structures.  After the first
-/// few calls no allocation occurs per order.
+/// form, and each Freeze call writes a total order's block values, as
+/// dictionary codes, into a column-major ColumnarInstance without
+/// rebuilding map/set structures.  After the first few calls no
+/// allocation occurs per order.
 ///
 /// Freezing is *incremental*: the row layout (which subgoal owns which row
 /// of which relation) is fixed at construction, so consecutive Freeze
@@ -71,10 +74,10 @@ CanonicalDatabase FreezeQueryDistinct(const ConjunctiveQuery& q);
 /// instance is a pure function of the current order — identical to what a
 /// from-scratch FreezeFull yields — regardless of the call history.
 ///
-/// Produces exactly the tuples and frozen head FreezeQuery would (same
-/// value scheme via TotalOrder::BlockValues); the assignment and unfreeze
-/// maps are replaced by slot/block accessors.  Not thread-safe; use one
-/// per thread.
+/// Encodes exactly the tuples and frozen head FreezeQuery would (same
+/// value scheme via TotalOrder::BlockValues, coded through dictionary());
+/// the assignment and unfreeze maps are replaced by slot/block
+/// accessors.  Not thread-safe; use one per thread.
 class CanonicalFreezer {
  public:
   explicit CanonicalFreezer(const ConjunctiveQuery& q);
@@ -83,23 +86,26 @@ class CanonicalFreezer {
   /// The returned instance and frozen_head() stay valid until the next
   /// Freeze call.  Delta form: only rows touching changed variables are
   /// rewritten.
-  const FlatInstance& Freeze(const TotalOrder& order);
+  const ColumnarInstance& Freeze(const TotalOrder& order);
 
-  /// Freezes from scratch (clear + refill), marking every relation
-  /// changed.  Same result as Freeze; retained as the reference path and
-  /// as the "full" side of bench_phase1's delta-vs-full comparison.
-  const FlatInstance& FreezeFull(const TotalOrder& order);
+  /// Freezes from scratch (every row rewritten), marking every relation
+  /// changed.  Same result as Freeze; the reference for delta freezing
+  /// and the "full" side of bench_phase1's delta-vs-full comparison.
+  const ColumnarInstance& FreezeFull(const TotalOrder& order);
 
   /// The frozen head tuple of the last Freeze.  Empty for boolean queries.
   const Tuple& frozen_head() const { return frozen_head_; }
 
-  /// The instance last produced by Freeze/FreezeFull.
-  const FlatInstance& instance() const { return instance_; }
-
-  /// The coded twin of instance(): every Freeze also writes each frozen
-  /// value's dictionary code into a column-major ColumnarInstance with
-  /// the same relation ids.  This is what CodedEvaluator runs over.
+  /// The coded instance last produced by Freeze/FreezeFull: each frozen
+  /// value's dictionary code, column-major, one row per subgoal.  This is
+  /// what CodedEvaluator runs over.
   const ColumnarInstance& columnar() const { return columnar_; }
+
+  /// The id of relation (`predicate`, `arity`) in columnar(), or nullopt
+  /// when no subgoal of the query uses it (such a relation is empty on
+  /// every canonical database).
+  std::optional<uint32_t> FindRelation(const std::string& predicate,
+                                       int arity) const;
 
   /// The dictionary coding this freezer's values.  Subgoal and head
   /// constants are interned at construction; block values are interned
@@ -130,7 +136,7 @@ class CanonicalFreezer {
   uint64_t epoch() const { return epoch_; }
 
   /// The epoch at which relation `rel`'s rows last changed (0 = never).
-  /// `rel` must be a relation id of instance().
+  /// `rel` must be a relation id of columnar().
   uint64_t RelationEpoch(uint32_t rel) const { return rel_epochs_[rel]; }
 
   /// Slot map of the compiled query's variables (body and head variables;
@@ -150,7 +156,7 @@ class CanonicalFreezer {
   const std::vector<Rational>& block_values() const { return block_values_; }
   const std::vector<Term>& block_reps() const { return block_reps_; }
 
-  /// Maps a value of the last frozen instance back to its order block's
+  /// Maps a value of the last frozen order back to its order block's
   /// representative term; values outside every block (e.g. constants
   /// introduced by a view head) unfreeze to themselves.  Same semantics as
   /// CanonicalDatabase::Unfreeze.
@@ -188,18 +194,17 @@ class CanonicalFreezer {
   std::vector<std::string> slot_names_;
   std::vector<CompiledSubgoal> subgoals_;
   std::vector<CompiledTerm> head_;
-  FlatInstance instance_;
+  std::vector<std::pair<std::string, int>> relations_;  // id -> key
   std::vector<Rational> block_values_;
   std::vector<Term> block_reps_;
   std::vector<Rational> var_values_;  // slot -> value under current order
   std::vector<uint32_t> var_blocks_;  // slot -> block index
   std::vector<char> changed_;         // slot -> moved in the last delta?
-  std::vector<Rational> row_;
   Tuple frozen_head_;
   uint64_t epoch_ = 0;
   std::vector<uint64_t> rel_epochs_;  // relation id -> last-changed epoch
 
-  // Coded twin state.
+  // Coded state.
   ValueDictionary dict_;
   ColumnarInstance columnar_;
   std::vector<uint32_t> block_codes_;  // block index -> code (last order)

@@ -1,27 +1,8 @@
 #include "engine/coded_eval.h"
 
 #include <algorithm>
-#include <atomic>
-
-#include "ast/interner.h"
 
 namespace cqac {
-
-namespace internal {
-
-namespace {
-std::atomic<bool> g_force_row_engine{false};
-}  // namespace
-
-void ForceRowEngineForTest(bool force) {
-  g_force_row_engine.store(force, std::memory_order_relaxed);
-}
-
-bool RowEngineForced() {
-  return g_force_row_engine.load(std::memory_order_relaxed);
-}
-
-}  // namespace internal
 
 namespace {
 
@@ -81,9 +62,8 @@ void CodedEvaluator::BindTo(CanonicalFreezer* freezer) {
     rel_ids_.clear();
     rel_ids_.reserve(plan_->subgoals.size());
     for (const QueryPlan::Subgoal& sg : plan_->subgoals) {
-      const uint32_t rel =
-          freezer->instance().FindRelation(sg.predicate, sg.arity);
-      rel_ids_.push_back(rel == SymbolInterner::kNotFound ? kNone : rel);
+      rel_ids_.push_back(
+          freezer->FindRelation(sg.predicate, sg.arity).value_or(kNone));
     }
   }
   ResolveConstants(freezer);

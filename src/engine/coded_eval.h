@@ -12,23 +12,12 @@
 
 namespace cqac {
 
-namespace internal {
-
-/// Test hook (process-global, relaxed atomic — same contract as
-/// ForceSatisfyingOrderFallbackForTest): when set, call sites that would
-/// run the coded columnar engine over canonical databases use the
-/// retained row engine instead.  The differential lattice flips this to
-/// pit the two engines against each other.
-void ForceRowEngineForTest(bool force);
-bool RowEngineForced();
-
-}  // namespace internal
-
 /// The coded columnar engine: executes a QueryPlan over a
 /// CanonicalFreezer's dictionary-coded ColumnarInstance.
 ///
-/// Where the row engine walks `Rational` rows pointer by pointer, this
-/// engine works on dense `uint32_t` codes in column-major order:
+/// Where the row engine (PreparedQuery) walks `Rational` tuples pointer by
+/// pointer, this engine works on dense `uint32_t` codes in column-major
+/// order:
 ///
 ///   - comparisons (triggers, pending resolution) are single integer
 ///     compares — order-preserving codes make every CompOp code-exact;
@@ -42,10 +31,12 @@ bool RowEngineForced();
 ///     tables — is carved from a bump Arena with a freeze → evaluate →
 ///     reset lifetime, so steady-state evaluation allocates nothing.
 ///
-/// Results are identical to PreparedQuery's over the same plan: matched
-/// in `match_frozen_head` mode, or decoded through the dictionary in
-/// collect mode (codes preserve lexicographic tuple order, so the
-/// decoded Relation is byte-identical).
+/// Results are identical to Evaluate/ComputesTuple over the canonical
+/// database FreezeQuery builds for the same order: matched in
+/// `match_frozen_head` mode, or decoded through the dictionary in collect
+/// mode (codes preserve lexicographic tuple order, so the decoded
+/// Relation is byte-identical).  testing::CheckEngineReferences and
+/// columnar_differential_test hold it to that.
 ///
 /// Not thread-safe; use one per thread, alongside its freezer.
 class CodedEvaluator {

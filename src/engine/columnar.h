@@ -9,7 +9,7 @@ namespace cqac {
 /// A canonical database in column-major coded form: per relation, one
 /// contiguous `uint32_t` block laid out column-by-column (all of column
 /// 0's codes, then column 1's, ...).  The codes are ValueDictionary ranks
-/// of the corresponding `FlatInstance` rationals.
+/// of the frozen rational values.
 ///
 /// Layout is fixed at construction — a CanonicalFreezer knows every
 /// relation's row count up front (one row per owning subgoal) — so
@@ -17,9 +17,8 @@ namespace cqac {
 /// what the selection-vector kernels in coded_eval.h want: filtering a
 /// column against a bound code walks one dense 4-byte stream.
 ///
-/// Relation ids are assigned in AddRelation order; the freezer keeps them
-/// identical to its FlatInstance's ids, so name lookup goes through the
-/// FlatInstance and the resulting id indexes both representations.
+/// Relation ids are assigned in AddRelation order; name lookup goes
+/// through CanonicalFreezer::FindRelation.
 class ColumnarInstance {
  public:
   /// Adds a relation of `arity` with a fixed `rows` capacity; returns its

@@ -5,32 +5,6 @@
 namespace cqac {
 
 // ---------------------------------------------------------------------------
-// FlatInstance
-
-uint32_t FlatInstance::RelationId(const std::string& predicate, int arity) {
-  const uint32_t name_id = names_.Intern(predicate);
-  if (name_id >= keys_.size()) keys_.resize(name_id + 1);
-  for (const auto& [a, rel] : keys_[name_id]) {
-    if (a == arity) return rel;
-  }
-  const uint32_t rel = static_cast<uint32_t>(relations_.size());
-  relations_.emplace_back();
-  relations_.back().arity = arity;
-  keys_[name_id].push_back({arity, rel});
-  return rel;
-}
-
-uint32_t FlatInstance::FindRelation(const std::string& predicate,
-                                    int arity) const {
-  const uint32_t name_id = names_.Find(predicate);
-  if (name_id == SymbolInterner::kNotFound) return SymbolInterner::kNotFound;
-  for (const auto& [a, rel] : keys_[name_id]) {
-    if (a == arity) return rel;
-  }
-  return SymbolInterner::kNotFound;
-}
-
-// ---------------------------------------------------------------------------
 // Per-run setup
 
 namespace {
@@ -81,23 +55,6 @@ bool PreparedQuery::Run(const Database& db, const Tuple* target, Relation* out,
       if (static_cast<int>(tuple.size()) == plan_.subgoals[d].arity) {
         ds.rows.push_back(tuple.data());
       }
-    }
-    BuildIndex(d, scratch);
-  }
-  return RunCommon(target, out, scratch);
-}
-
-bool PreparedQuery::Run(const FlatInstance& inst, const Tuple* target,
-                        Relation* out, Scratch* scratch) const {
-  scratch->depths.resize(plan_.subgoals.size());
-  for (size_t d = 0; d < plan_.subgoals.size(); ++d) {
-    Scratch::DepthState& ds = scratch->depths[d];
-    ds.rows.clear();
-    const uint32_t rel =
-        inst.FindRelation(plan_.subgoals[d].predicate, plan_.subgoals[d].arity);
-    if (rel != SymbolInterner::kNotFound) {
-      const size_t count = inst.RowCount(rel);
-      for (size_t i = 0; i < count; ++i) ds.rows.push_back(inst.Row(rel, i));
     }
     BuildIndex(d, scratch);
   }

@@ -7,7 +7,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "ast/interner.h"
 #include "ast/query.h"
 #include "engine/database.h"
 #include "engine/query_plan.h"
@@ -36,79 +35,17 @@ bool ComputesTuple(const ConjunctiveQuery& q, const Database& db,
 /// Union version of ComputesTuple.
 bool ComputesTuple(const UnionQuery& q, const Database& db, const Tuple& head);
 
-/// A database instance in flat form: per (predicate, arity), a row-major
-/// value vector.  Canonical-database evaluation refills one of these per
-/// total order without rebuilding `std::map`/`std::set` structures; Clear
-/// keeps every relation's capacity, so steady-state refills don't allocate.
-class FlatInstance {
- public:
-  /// Drops all rows (and remembers relations, so ids stay stable).
-  void Clear() {
-    for (RelationData& r : relations_) r.values.clear();
-  }
-
-  /// The id of relation (`predicate`, `arity`), creating it when new.
-  uint32_t RelationId(const std::string& predicate, int arity);
-
-  /// The id of relation (`predicate`, `arity`), or SymbolInterner::kNotFound.
-  uint32_t FindRelation(const std::string& predicate, int arity) const;
-
-  /// Appends a row of `arity` values to relation `rel`.  Zero-arity
-  /// relations store a placeholder per row so emptiness stays observable.
-  void AddRow(uint32_t rel, const Rational* row) {
-    RelationData& r = relations_[rel];
-    if (r.arity == 0) {
-      r.values.push_back(Rational(1));
-    } else {
-      r.values.insert(r.values.end(), row, row + r.arity);
-    }
-  }
-
-  size_t RowCount(uint32_t rel) const {
-    const RelationData& r = relations_[rel];
-    return r.arity == 0 ? r.values.size() : r.values.size() / r.arity;
-  }
-  int Arity(uint32_t rel) const { return relations_[rel].arity; }
-  const Rational* Row(uint32_t rel, size_t i) const {
-    return relations_[rel].values.data() + i * relations_[rel].arity;
-  }
-
-  /// Mutable access to row `i` of relation `rel`, for patching values in
-  /// place (delta freezing rewrites only the rows whose variables moved).
-  /// Meaningless for zero-arity relations (rows hold no values).
-  Rational* MutableRow(uint32_t rel, size_t i) {
-    return relations_[rel].values.data() + i * relations_[rel].arity;
-  }
-
-  /// Number of relations created so far; valid relation ids are
-  /// [0, NumRelations()).
-  size_t NumRelations() const { return relations_.size(); }
-
- private:
-  struct RelationData {
-    int arity = 0;
-    std::vector<Rational> values;  // row-major, size = arity * row count
-  };
-
-  SymbolInterner names_;
-  // keys_[name_id] = list of (arity, relation id) for that predicate name.
-  std::vector<std::vector<std::pair<int, uint32_t>>> keys_;
-  std::vector<RelationData> relations_;
-};
-
-/// The retained row engine over a compiled QueryPlan: evaluates tuple at
-/// a time over `Rational` values, against either a generic `Database` or
-/// a row-major `FlatInstance`.  The coded columnar engine (coded_eval.h)
-/// executes the same plan over dictionary codes and is the production
-/// path for canonical databases; this engine remains the general-purpose
-/// evaluator (arbitrary databases, values outside any dictionary) and the
-/// reference side of the row-vs-columnar differential suite.
+/// The row engine over a compiled QueryPlan: evaluates tuple at a time
+/// over `Rational` values against a generic `Database`.  It backs
+/// Evaluate/ComputesTuple (the shell, the semantic oracle, arbitrary
+/// databases with values outside any dictionary).  Canonical databases
+/// are evaluated by the coded columnar engine (coded_eval.h), which
+/// executes the same plan over a CanonicalFreezer's dictionary codes.
 ///
 /// PreparedQuery is immutable after construction and safe to share across
 /// threads; all per-run state lives in a caller-owned Scratch.  Hash
 /// indexes on each subgoal's bound columns are built once per (query, db)
-/// run and only for relations large enough to repay the build
-/// (canonical databases stay on linear scans).
+/// run and only for relations large enough to repay the build.
 class PreparedQuery {
  public:
   explicit PreparedQuery(const ConjunctiveQuery& q) : plan_(q) {}
@@ -142,15 +79,6 @@ class PreparedQuery {
   /// `out` is non-null, collects all head tuples.
   bool Run(const Database& db, const Tuple* target, Relation* out,
            Scratch* scratch) const;
-
-  /// Same, over a flat instance.
-  bool Run(const FlatInstance& inst, const Tuple* target, Relation* out,
-           Scratch* scratch) const;
-
-  int head_arity() const { return static_cast<int>(plan_.head.size()); }
-
-  /// The shared compiled plan (also executed by CodedEvaluator).
-  const QueryPlan& plan() const { return plan_; }
 
  private:
   bool RunCommon(const Tuple* target, Relation* out, Scratch* scratch) const;

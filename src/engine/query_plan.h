@@ -15,13 +15,12 @@ namespace cqac {
 /// triggers by depth, and bound-column signatures for hash indexing.
 ///
 /// The plan is pure data, immutable after construction and safe to share
-/// across threads.  Two engines execute it: the retained row engine
-/// (PreparedQuery in evaluate.h, which works over arbitrary `Rational`
-/// databases) and the coded columnar engine (CodedEvaluator in
-/// coded_eval.h, which works over a CanonicalFreezer's dictionary-coded
-/// instance).  Keeping one shared plan guarantees both engines visit
-/// candidates in the same subgoal order and apply the same triggers, so
-/// their verdicts and result sets are comparable op for op.
+/// across threads.  Two engines execute it, one per kind of database: the
+/// row engine (PreparedQuery in evaluate.h) over arbitrary `Rational`
+/// databases, and the coded columnar engine (CodedEvaluator in
+/// coded_eval.h) over a CanonicalFreezer's dictionary-coded canonical
+/// databases.  Callers that only evaluate on canonical databases hold a
+/// QueryPlan directly.
 struct QueryPlan {
   struct Op {
     enum Kind : uint8_t { kConst, kBind, kCheck };

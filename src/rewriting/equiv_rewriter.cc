@@ -12,7 +12,6 @@
 #include "containment/cqac_containment.h"
 #include "engine/canonical.h"
 #include "engine/coded_eval.h"
-#include "engine/evaluate.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "rewriting/coalesce.h"
@@ -266,7 +265,7 @@ static DatabaseOutcome ProcessCanonicalDatabaseImpl(const RewriteWork& work,
   // Keep only databases on which the query computes its frozen head
   // (general evaluation: the identity freezing need not be the witnessing
   // embedding).  The keep-test runs on a delta freeze with the shared
-  // prepared plan — consecutive orders differ in few blocks, so the
+  // compiled plan — consecutive orders differ in few blocks, so the
   // freezer patches only the moved rows, and the view evaluator re-derives
   // only views whose relations changed.  The caches are per-thread
   // (ProcessCanonicalDatabase runs on worker threads) and are recompiled
@@ -276,14 +275,12 @@ static DatabaseOutcome ProcessCanonicalDatabaseImpl(const RewriteWork& work,
     std::optional<CanonicalFreezer> freezer;
     std::optional<ViewTupleEvaluator> evaluator;
     std::optional<FrozenTupleMatcher> matcher;
-    // Coded keep-test over work.prepared_query's plan; only valid while
-    // work_id matches (the plan pointer dies with the RewriteWork).
+    // Coded keep-test over work.query_plan; only valid while work_id
+    // matches (the plan pointer dies with the RewriteWork).
     std::optional<CodedEvaluator> coded;
-    PreparedQuery::Scratch scratch;
     std::string grid_key;
   };
   static thread_local Phase1Cache cache;
-  const bool use_row_engine = internal::RowEngineForced();
   if (cache.work_id != work.work_id) {
     cache.freezer.emplace(work.query);
     cache.evaluator.emplace(work.views);
@@ -291,16 +288,13 @@ static DatabaseOutcome ProcessCanonicalDatabaseImpl(const RewriteWork& work,
     mcd_tuples.reserve(work.mcds.size());
     for (const Mcd& mcd : work.mcds) mcd_tuples.push_back(mcd.view_tuple);
     cache.matcher.emplace(std::move(mcd_tuples), *cache.freezer);
-    cache.coded.reset();
-    if (!use_row_engine) {
-      // Prime with the run's merged constants (the same set the order
-      // enumerator uses): no order can then surface an unseen value, so
-      // steady-state keep-tests allocate nothing.
-      cache.freezer->PrimeDictionary(work.constants,
-                                     work.query.AllVariables().size());
-      cache.coded.emplace(&work.prepared_query.plan());
-      cache.coded->BindTo(&*cache.freezer);
-    }
+    // Prime with the run's merged constants (the same set the order
+    // enumerator uses): no order can then surface an unseen value, so
+    // steady-state keep-tests allocate nothing.
+    cache.freezer->PrimeDictionary(work.constants,
+                                   work.query.AllVariables().size());
+    cache.coded.emplace(&work.query_plan);
+    cache.coded->BindTo(&*cache.freezer);
     cache.work_id = work.work_id;
   }
   bool computes_head;
@@ -331,16 +325,12 @@ static DatabaseOutcome ProcessCanonicalDatabaseImpl(const RewriteWork& work,
         return out;
       }
     }
-    const FlatInstance& inst = cache.freezer->Freeze(order);
+    cache.freezer->Freeze(order);
     if (cached.has_value()) {
       computes_head = true;  // A cached keep verdict; skip the evaluation.
     } else {
-      computes_head =
-          (use_row_engine || !cache.coded.has_value())
-              ? work.prepared_query.Run(inst, &cache.freezer->frozen_head(),
-                                        nullptr, &cache.scratch)
-              : cache.coded->Run(*cache.freezer, /*match_frozen_head=*/true,
-                                 nullptr);
+      computes_head = cache.coded->Run(*cache.freezer,
+                                       /*match_frozen_head=*/true, nullptr);
     }
     if (grid_miss) work.grid_cache->Put(cache.grid_key, computes_head);
     out.stats.freeze_ns += NowNs() - freeze_t0;

@@ -10,7 +10,7 @@
 
 #include "ast/query.h"
 #include "constraints/orders.h"
-#include "engine/evaluate.h"
+#include "engine/query_plan.h"
 #include "rewriting/explain.h"
 #include "rewriting/minicon.h"
 #include "rewriting/structure.h"
@@ -244,7 +244,7 @@ struct RewriteResult {
 struct RewriteWork {
   RewriteWork(const ConjunctiveQuery& q, const ViewSet& v,
               const RewriteOptions& o)
-      : query(q), views(v), options(o), prepared_query(q) {}
+      : query(q), views(v), options(o), query_plan(q) {}
 
   const ConjunctiveQuery& query;
   const ViewSet& views;
@@ -252,8 +252,8 @@ struct RewriteWork {
 
   /// The query compiled for repeated evaluation (the per-canonical-database
   /// keep-test).  Immutable, so sharing across worker threads is safe;
-  /// each thread owns its PreparedQuery::Scratch.
-  PreparedQuery prepared_query;
+  /// each thread runs it on its own CodedEvaluator.
+  QueryPlan query_plan;
 
   /// Unique per prepared work instance; lets per-thread caches keyed on a
   /// RewriteWork (e.g. the canonical freezer in ProcessCanonicalDatabase)

@@ -79,7 +79,7 @@ bool MatchesFrozenViewTuple(const Atom& mcd_tuple, const ViewTuples& tuples,
 ViewTupleEvaluator::ViewTupleEvaluator(const ViewSet& views) {
   views_.reserve(views.views().size());
   for (const ConjunctiveQuery& view : views.views()) {
-    PerView pv{view.name(),  PreparedQuery(view), {}, {}, std::nullopt,
+    PerView pv{view.name(), QueryPlan(view), {}, {}, std::nullopt,
                Relation(), 0};
     std::set<std::pair<std::string, int>> seen;
     for (const Atom& atom : view.body()) {
@@ -93,22 +93,21 @@ ViewTupleEvaluator::ViewTupleEvaluator(const ViewSet& views) {
 }
 
 void ViewTupleEvaluator::Refresh(CanonicalFreezer& freezer) {
-  const bool use_row_engine = internal::RowEngineForced();
   if (!rel_ids_resolved_) {
     for (PerView& pv : views_) {
       pv.rel_ids.reserve(pv.referenced.size());
       for (const auto& [predicate, arity] : pv.referenced) {
-        const uint32_t rel = freezer.instance().FindRelation(predicate, arity);
         // Relations absent from the query's instance stay empty forever;
         // they can never make the view stale.
-        if (rel != SymbolInterner::kNotFound) pv.rel_ids.push_back(rel);
+        if (const std::optional<uint32_t> rel =
+                freezer.FindRelation(predicate, arity)) {
+          pv.rel_ids.push_back(*rel);
+        }
       }
-      if (!use_row_engine) {
-        // views_ stopped moving at construction's end, so plan pointers
-        // are stable from here on.
-        pv.coded.emplace(&pv.plan.plan());
-        pv.coded->BindTo(&freezer);
-      }
+      // views_ stopped moving at construction's end, so plan pointers
+      // are stable from here on.
+      pv.coded.emplace(&pv.plan);
+      pv.coded->BindTo(&freezer);
     }
     rel_ids_resolved_ = true;
   }
@@ -121,11 +120,7 @@ void ViewTupleEvaluator::Refresh(CanonicalFreezer& freezer) {
     }
     if (stale) {
       pv.output = Relation();
-      if (use_row_engine || !pv.coded.has_value()) {
-        pv.plan.Run(freezer.instance(), nullptr, &pv.output, &scratch_);
-      } else {
-        pv.coded->Run(freezer, /*match_frozen_head=*/false, &pv.output);
-      }
+      pv.coded->Run(freezer, /*match_frozen_head=*/false, &pv.output);
       pv.evaluated_epoch = freezer.epoch();
     }
     total_ += pv.output.size();

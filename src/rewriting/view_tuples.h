@@ -12,7 +12,7 @@
 #include "ast/atom.h"
 #include "engine/canonical.h"
 #include "engine/coded_eval.h"
-#include "engine/evaluate.h"
+#include "engine/query_plan.h"
 #include "rewriting/view_set.h"
 
 namespace cqac {
@@ -61,9 +61,9 @@ bool IsMoreRelaxedForm(const Atom& more_relaxed, const Atom& tuple);
 bool MatchesFrozenViewTuple(const Atom& mcd_tuple, const ViewTuples& tuples,
                             const CanonicalDatabase& cdb);
 
-/// Compiled Phase-1 view evaluation over a CanonicalFreezer's flat
-/// instance: one PreparedQuery per view, built once per run instead of
-/// once per canonical database, with each view's ground output cached and
+/// Compiled Phase-1 view evaluation over a CanonicalFreezer's coded
+/// instance: one QueryPlan per view, built once per run instead of once
+/// per canonical database, with each view's ground output cached and
 /// recomputed only when a relation the view references changed since the
 /// view's last evaluation (the freezer's per-relation change epochs).
 /// Under delta freezing, an order step that only moved variables absent
@@ -100,15 +100,14 @@ class ViewTupleEvaluator {
  private:
   struct PerView {
     std::string name;
-    PreparedQuery plan;
+    QueryPlan plan;
     /// Distinct (predicate, arity) pairs of the view's body.
     std::vector<std::pair<std::string, int>> referenced;
     /// referenced resolved against the freezer's instance (stable: the
     /// instance's relation set is fixed at freezer construction).
     std::vector<uint32_t> rel_ids;
-    /// Coded engine over `plan`'s compiled form; constructed on first
-    /// Refresh (after views_ stops moving, so the plan pointer is
-    /// stable) unless the row engine is forced.
+    /// Coded engine over `plan`; constructed on first Refresh (after
+    /// views_ stops moving, so the plan pointer is stable).
     std::optional<CodedEvaluator> coded;
     Relation output;
     uint64_t evaluated_epoch = 0;  // 0 = never evaluated
@@ -116,7 +115,6 @@ class ViewTupleEvaluator {
 
   std::vector<PerView> views_;
   std::map<std::string, std::vector<int>> by_name_;
-  PreparedQuery::Scratch scratch_;
   int64_t total_ = 0;
   bool rel_ids_resolved_ = false;
 };

@@ -1,14 +1,21 @@
 #include "testing/differential.h"
 
+#include <algorithm>
+#include <functional>
 #include <set>
 #include <sstream>
+#include <string>
 
 #include "catalog/view_catalog.h"
 #include "containment/cqac_containment.h"
 #include "containment/homomorphism.h"
-#include "engine/coded_eval.h"
+#include "engine/canonical.h"
+#include "engine/evaluate.h"
 #include "rewriting/expansion.h"
+#include "rewriting/view_tuples.h"
 #include "runtime/memo_cache.h"
+#include "testing/oracle.h"
+#include "testing/reference_engines.h"
 
 namespace cqac {
 namespace testing {
@@ -18,9 +25,6 @@ std::string LatticeConfig::Name() const {
   out << "jobs=" << jobs;
   if (phase1_dedup) out << " dedup";
   if (memo_cache) out << " memo";
-  if (legacy_orders) out << " legacy-orders";
-  if (legacy_homomorphism) out << " legacy-homomorphism";
-  if (row_engine) out << " row-engine";
   if (verify) out << " verify";
   if (use_catalog) out << " catalog";
   if (force_tier >= 0) out << " tier" << force_tier;
@@ -48,32 +52,12 @@ std::vector<LatticeConfig> FullConfigLattice() {
       if (jobs == 1 && dedup) continue;  // the baseline again
       lattice.push_back(c);
     }
-    // Engine toggles, one at a time, under both schedulers.
+    // The shared Phase-2 memo cache under both schedulers.
     LatticeConfig memo;
     memo.jobs = jobs;
     memo.memo_cache = true;
     lattice.push_back(memo);
-    LatticeConfig orders;
-    orders.jobs = jobs;
-    orders.legacy_orders = true;
-    lattice.push_back(orders);
-    LatticeConfig hom;
-    hom.jobs = jobs;
-    hom.legacy_homomorphism = true;
-    lattice.push_back(hom);
-    // The columnar engine is the production default, so the plain
-    // jobs=1 / jobs=4 points above already exercise columnar and
-    // columnar_parallel; these force the retained row engine under the
-    // same schedulers, pitting the two engines per input.
-    LatticeConfig row;
-    row.jobs = jobs;
-    row.row_engine = true;
-    lattice.push_back(row);
   }
-  LatticeConfig both_legacy;  // the two legacy engines interacting
-  both_legacy.legacy_orders = true;
-  both_legacy.legacy_homomorphism = true;
-  lattice.push_back(both_legacy);
   LatticeConfig verify;  // semantic anchor
   verify.verify = true;
   lattice.push_back(verify);
@@ -111,13 +95,6 @@ std::vector<LatticeConfig> SmokeConfigLattice() {
   LatticeConfig no_dedup;
   no_dedup.phase1_dedup = false;
   lattice.push_back(no_dedup);
-  LatticeConfig legacy;
-  legacy.legacy_orders = true;
-  legacy.legacy_homomorphism = true;
-  lattice.push_back(legacy);
-  LatticeConfig row;  // retained row engine vs the columnar baseline
-  row.row_engine = true;
-  lattice.push_back(row);
   LatticeConfig verify;
   verify.verify = true;
   lattice.push_back(verify);
@@ -188,23 +165,7 @@ RunSignature SignatureOf(const RewriteResult& result) {
   return sig;
 }
 
-ScopedEngineSelection::ScopedEngineSelection(const LatticeConfig& config)
-    : saved_orders_(internal::SatisfyingOrderFallbackForcedForTest()),
-      saved_homomorphism_(internal::LegacyContainmentMappingForcedForTest()),
-      saved_row_engine_(internal::RowEngineForced()) {
-  internal::ForceSatisfyingOrderFallbackForTest(config.legacy_orders);
-  internal::ForceLegacyContainmentMappingForTest(config.legacy_homomorphism);
-  internal::ForceRowEngineForTest(config.row_engine);
-}
-
-ScopedEngineSelection::~ScopedEngineSelection() {
-  internal::ForceSatisfyingOrderFallbackForTest(saved_orders_);
-  internal::ForceLegacyContainmentMappingForTest(saved_homomorphism_);
-  internal::ForceRowEngineForTest(saved_row_engine_);
-}
-
 RewriteResult RunWithConfig(const FuzzCase& c, const LatticeConfig& config) {
-  ScopedEngineSelection selection(config);
   if (config.use_catalog) {
     // Cold run populates the caches, warm run replays from the semantic
     // cache; returning the warm result makes the lattice diff prove the
@@ -253,6 +214,20 @@ DifferentialReport RunConfigLattice(
   return report;
 }
 
+namespace {
+
+/// Appends `outcome`'s Pre-Rewriting to `pres` when the database was kept
+/// and the Pre-Rewriting is new.
+void CollectPreRewriting(DatabaseOutcome* outcome, std::set<std::string>* seen,
+                         std::vector<ConjunctiveQuery>* pres) {
+  if (outcome->status == DatabaseOutcome::Status::kKept &&
+      seen->insert(outcome->pre_rewriting->ToString()).second) {
+    pres->push_back(*std::move(outcome->pre_rewriting));
+  }
+}
+
+}  // namespace
+
 std::vector<ConjunctiveQuery> AllPreRewritings(const RewriteWork& work) {
   std::vector<ConjunctiveQuery> pres;
   std::set<std::string> seen;
@@ -260,10 +235,7 @@ std::vector<ConjunctiveQuery> AllPreRewritings(const RewriteWork& work) {
       work.query.AllVariables(), work.constants,
       [&](const TotalOrder& order) {
         DatabaseOutcome outcome = ProcessCanonicalDatabase(work, order);
-        if (outcome.status == DatabaseOutcome::Status::kKept &&
-            seen.insert(outcome.pre_rewriting->ToString()).second) {
-          pres.push_back(*std::move(outcome.pre_rewriting));
-        }
+        CollectPreRewriting(&outcome, &seen, &pres);
         return true;
       });
   return pres;
@@ -292,6 +264,160 @@ Phase2Report CheckPhase2Verdicts(const FuzzCase& c) {
                        (outcome.contained ? "contained" : "not contained") +
                        " differs from the full-path reference on " +
                        pre.ToString();
+      return report;
+    }
+  }
+  return report;
+}
+
+namespace {
+
+/// Every mapping `engine` yields from `from` into `to`, rendered and
+/// sorted: enumeration order may legitimately differ between engines,
+/// the mapping set may not.
+std::vector<std::string> SortedMappings(
+    void (*engine)(const ConjunctiveQuery&, const ConjunctiveQuery&,
+                   const std::function<bool(const Substitution&)>&),
+    const ConjunctiveQuery& from, const ConjunctiveQuery& to) {
+  std::vector<std::string> out;
+  engine(from, to, [&out](const Substitution& s) {
+    out.push_back(s.ToString());
+    return true;
+  });
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Diffs the enumeration, mapping and containment engines on one
+/// expansion `e` of a Pre-Rewriting against the references.  Returns the
+/// first mismatch, or "" when all agree; sets `*unchecked` when the order
+/// enumerations were over the size limit and skipped.
+std::string CheckExpansionEngines(const ConjunctiveQuery& q,
+                                  const ConjunctiveQuery& e,
+                                  bool* unchecked) {
+  const std::vector<std::string> production =
+      SortedMappings(&ForEachContainmentMapping, q, e);
+  const std::vector<std::string> reference =
+      SortedMappings(&ForEachContainmentMappingReference, q, e);
+  if (production != reference) {
+    return "containment mappings from the query differ from the reference "
+           "(" + std::to_string(production.size()) + " vs " +
+           std::to_string(reference.size()) + ")";
+  }
+
+  std::vector<Rational> constants = e.Constants();
+  for (const Rational& c : q.Constants()) {
+    if (std::find(constants.begin(), constants.end(), c) == constants.end()) {
+      constants.push_back(c);
+    }
+  }
+  const std::vector<std::string> variables = e.AllVariables();
+  if (static_cast<int>(variables.size() + constants.size()) >
+      OracleOptions{}.max_order_terms) {
+    *unchecked = true;
+    return "";
+  }
+
+  std::vector<std::string> expected;
+  ForEachSatisfyingOrderReference(variables, constants, e.comparisons(),
+                                  [&expected](const TotalOrder& order) {
+                                    expected.push_back(order.ToString());
+                                    return true;
+                                  });
+  std::vector<std::string> pruned;
+  bool unit_multiplicities = true;
+  ForEachSatisfyingOrderPruned(
+      variables, constants, e.comparisons(), OrderSymmetry{},
+      [&](const TotalOrder& order, int64_t multiplicity) {
+        unit_multiplicities &= multiplicity == 1;
+        pruned.push_back(order.ToString());
+        return true;
+      });
+  if (pruned != expected || !unit_multiplicities) {
+    return "pruned order enumeration differs from the reference sequence "
+           "(" + std::to_string(pruned.size()) + " vs " +
+           std::to_string(expected.size()) + " orders)";
+  }
+  OrderSymmetry symmetry;
+  symmetry.groups = InterchangeableVariableGroups(e);
+  int64_t weighted = 0;
+  ForEachSatisfyingOrderPruned(variables, constants, e.comparisons(),
+                               symmetry,
+                               [&weighted](const TotalOrder&, int64_t m) {
+                                 weighted += m;
+                                 return true;
+                               });
+  if (weighted != static_cast<int64_t>(expected.size())) {
+    return "symmetry-reduced weighted order count " +
+           std::to_string(weighted) + " differs from the reference count " +
+           std::to_string(expected.size());
+  }
+
+  const bool contained = CqacContainedCanonical(e, q);
+  if (contained != ReferenceContainedCanonical(e, q)) {
+    return std::string("CqacContainedCanonical says ") +
+           (contained ? "contained" : "not contained") +
+           ", the reference canonical-database test disagrees";
+  }
+  return "";
+}
+
+}  // namespace
+
+EngineReport CheckEngineReferences(const FuzzCase& c) {
+  EngineReport report;
+  const RewriteOptions options;
+  const RewriteWork work = PrepareRewriteWork(c.query, c.views, options);
+  const ConjunctiveQuery& q = work.query;
+
+  // Phase 1: the coded keep test and view-tuple evaluator against the
+  // row engine on FreezeQuery's database, one canonical database at a
+  // time.  The same pass collects the Pre-Rewritings AllPreRewritings
+  // would.
+  std::vector<ConjunctiveQuery> pres;
+  std::set<std::string> seen;
+  ForEachTotalOrder(
+      q.AllVariables(), work.constants, [&](const TotalOrder& order) {
+        DatabaseOutcome outcome = ProcessCanonicalDatabase(work, order);
+        const CanonicalDatabase cdb = FreezeQuery(q, order);
+        ++report.databases;
+        const bool kept = outcome.status != DatabaseOutcome::Status::kSkipped;
+        if (kept != ComputesTuple(q, cdb.db, cdb.frozen_head)) {
+          report.ok = false;
+          report.failure = std::string("keep test ") +
+                           (kept ? "kept" : "skipped") +
+                           " canonical database [" + order.ToString() +
+                           "], the reference disagrees";
+          return false;
+        }
+        if (kept) {
+          const int64_t total = ComputeViewTuples(work.views, cdb).total;
+          if (outcome.stats.view_tuples_total != total) {
+            report.ok = false;
+            report.failure = "view-tuple total " +
+                             std::to_string(outcome.stats.view_tuples_total) +
+                             " on canonical database [" + order.ToString() +
+                             "], the reference computes " +
+                             std::to_string(total);
+            return false;
+          }
+        }
+        CollectPreRewriting(&outcome, &seen, &pres);
+        return true;
+      });
+  if (!report.ok) return report;
+
+  // Phase 2: every engine that decides a check, on each expansion.
+  for (const ConjunctiveQuery& pre : pres) {
+    const ConjunctiveQuery e = Expand(pre, work.views);
+    ++report.expansions;
+    bool unchecked = false;
+    const std::string failure = CheckExpansionEngines(q, e, &unchecked);
+    if (unchecked) ++report.unchecked;
+    if (!failure.empty()) {
+      report.ok = false;
+      report.failure = failure + " on the expansion " + e.ToString() +
+                       " of " + pre.ToString();
       return report;
     }
   }

@@ -12,8 +12,10 @@ namespace cqac {
 namespace testing {
 
 /// One point of the configuration lattice: a choice of scheduler,
-/// memoization, enumeration engine, and mapping engine.  Every point must
+/// memoization, catalog serving and execution tier.  Every point must
 /// produce the same answer; the differential driver proves it per input.
+/// (The production engines themselves are diffed against their
+/// references by CheckEngineReferences below, not by lattice points.)
 struct LatticeConfig {
   /// RewriteOptions::jobs — 1 runs the driver inline, anything else on
   /// its work-stealing pool.
@@ -24,21 +26,6 @@ struct LatticeConfig {
 
   /// Share a Phase-2 MemoCache across the run (the batch-service cache).
   bool memo_cache = false;
-
-  /// Route ForEachSatisfyingOrderPruned through the legacy
-  /// enumerate-then-filter reference (internal::ForceSatisfyingOrderFallbackForTest).
-  bool legacy_orders = false;
-
-  /// Route ForEachContainmentMapping through the legacy backtracking
-  /// search (internal::ForceLegacyContainmentMappingForTest).
-  bool legacy_homomorphism = false;
-
-  /// Route canonical-database evaluation through the retained row engine
-  /// (internal::ForceRowEngineForTest) instead of the coded columnar
-  /// engine that is the production default.  The default points ARE the
-  /// lattice's columnar / columnar_parallel coverage; these points supply
-  /// the row side of the diff.
-  bool row_engine = false;
 
   /// RewriteOptions::verify — found rewritings are independently
   /// re-checked; the driver requires verified == true whenever this is on.
@@ -57,24 +44,24 @@ struct LatticeConfig {
   /// forced-general baseline.
   int force_tier = -1;
 
-  /// E.g. "jobs=4 dedup memo legacy-orders".
+  /// E.g. "jobs=4 dedup memo tier1".
   std::string Name() const;
 
   /// The RewriteOptions this point runs under.
   RewriteOptions ToOptions() const;
 };
 
-/// The full lattice the fuzzer sweeps: every combination the acceptance
-/// criteria name — serial vs parallel, Phase-1 memo on/off, Phase-2 memo
-/// cache on/off, pruned vs legacy order enumeration, compiled vs legacy
-/// containment mapping — plus one verify-enabled point as a semantic
-/// anchor.  (Not the 2^6 cube: engine toggles are varied one at a time
-/// against both schedulers, which still covers every pairwise interaction
-/// the engines can have with the drivers.)
+/// The full lattice the fuzzer sweeps (12 points): serial vs parallel,
+/// Phase-1 memo on/off, Phase-2 memo cache on/off, a verify-enabled
+/// semantic anchor, catalog serving, and the forced tiers.  (Not the
+/// full cube: toggles are varied one at a time against both schedulers,
+/// which still covers every pairwise interaction they can have with the
+/// drivers.)
 std::vector<LatticeConfig> FullConfigLattice();
 
-/// The cheap subset for time-boxed smoke runs and corpus replay: serial
-/// baseline, parallel, no-dedup, legacy engines, verify.
+/// The cheap subset for time-boxed smoke runs and corpus replay (7
+/// points): serial baseline, parallel with memo, no-dedup, verify,
+/// catalog, and both forced tiers.
 std::vector<LatticeConfig> SmokeConfigLattice();
 
 /// The configuration-invariant projection of a RewriteResult.  Fields
@@ -105,27 +92,6 @@ struct RunSignature {
 
 /// Projects a result onto its invariant signature.
 RunSignature SignatureOf(const RewriteResult& result);
-
-/// RAII application of a config's engine-selection hooks (legacy order
-/// enumeration, legacy containment mapping).  Restores the previous flags
-/// on destruction.  The hooks are process-global relaxed atomics, so no
-/// rewriting run may be in flight on another thread while a selection is
-/// alive — the differential driver runs lattice points strictly one at a
-/// time for exactly this reason (the `jobs` parallelism inside one run is
-/// fine: the flags are constant for its duration).
-class ScopedEngineSelection {
- public:
-  explicit ScopedEngineSelection(const LatticeConfig& config);
-  ~ScopedEngineSelection();
-
-  ScopedEngineSelection(const ScopedEngineSelection&) = delete;
-  ScopedEngineSelection& operator=(const ScopedEngineSelection&) = delete;
-
- private:
-  bool saved_orders_;
-  bool saved_homomorphism_;
-  bool saved_row_engine_;
-};
 
 /// Runs one lattice point on one case.
 RewriteResult RunWithConfig(const FuzzCase& c, const LatticeConfig& config);
@@ -175,6 +141,43 @@ struct Phase2Report {
 /// options) and compares each verdict with FullPathPhase2Verdict.  Stops
 /// at the first mismatch.
 Phase2Report CheckPhase2Verdicts(const FuzzCase& c);
+
+/// The verdict of CheckEngineReferences on one case.
+struct EngineReport {
+  bool ok = true;
+  int64_t databases = 0;   // canonical databases of Q checked (Phase 1)
+  int64_t expansions = 0;  // Pre-Rewriting expansions checked
+  /// Reference order enumerations skipped because they would range over
+  /// more than OracleOptions{}.max_order_terms terms.  Unchecked, never
+  /// counted as a pass.
+  int64_t unchecked = 0;
+  std::string failure;  // the first mismatch, when !ok
+};
+
+/// Diffs the production engines of one case against the references in
+/// testing/reference_engines.h, input by input (default options):
+///
+///   * Phase-1 keep test: for every total order of Q's variables and the
+///     run's constants, ProcessCanonicalDatabase keeps the order exactly
+///     when ComputesTuple(Q, FreezeQuery(Q, order).db, frozen_head);
+///   * view tuples: on every kept database, the view-tuple total equals
+///     ComputeViewTuples(views, FreezeQuery(Q, order)).total;
+///
+/// and for the expansion E of every Pre-Rewriting (AllPreRewritings):
+///
+///   * order enumeration: ForEachSatisfyingOrderPruned over E with
+///     OrderSymmetry{} emits exactly the reference sequence, and with E's
+///     InterchangeableVariableGroups its weighted count equals the
+///     reference count;
+///   * homomorphisms: ForEachContainmentMapping(Q, E) yields the same
+///     mapping set as the reference search;
+///   * Phase-2 containment: CqacContainedCanonical(E, Q) equals
+///     ReferenceContainedCanonical(E, Q).
+///
+/// The E enumerations are skipped, and counted in `unchecked`, when E's
+/// variables plus the constants exceed OracleOptions{}.max_order_terms.
+/// Stops at the first mismatch.
+EngineReport CheckEngineReferences(const FuzzCase& c);
 
 }  // namespace testing
 }  // namespace cqac

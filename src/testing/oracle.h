@@ -96,8 +96,8 @@ std::vector<Rational> OracleValuePool(const FuzzCase& c,
 
 /// Reference evaluation under set semantics: recursive backtracking over
 /// the body with a std::map binding, comparisons evaluated at the leaves.
-/// Independent of PreparedQuery/FlatInstance; the fuzzer diffs the two
-/// evaluators against each other.
+/// Independent of PreparedQuery and the coded engine; oracle_test diffs
+/// it against Evaluate.
 Relation NaiveEvaluate(const ConjunctiveQuery& q, const Database& db);
 Relation NaiveEvaluate(const UnionQuery& q, const Database& db);
 

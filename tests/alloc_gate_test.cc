@@ -16,7 +16,7 @@
 #include "constraints/orders.h"
 #include "engine/canonical.h"
 #include "engine/coded_eval.h"
-#include "engine/evaluate.h"
+#include "engine/query_plan.h"
 #include "parser/parser.h"
 #include "testing/alloc_hook.h"
 
@@ -37,8 +37,8 @@ TEST(AllocGateTest, SteadyStateFreezeAndEvaluateAllocatesNothing) {
       Parser::MustParseRule("q(A) :- e(A,B), e(B,C), A < 5");
 
   CanonicalFreezer freezer(q1);
-  const PreparedQuery prepared(q2);
-  CodedEvaluator coded(&prepared.plan());
+  const QueryPlan plan(q2);
+  CodedEvaluator coded(&plan);
   freezer.PrimeDictionary(q1.Constants(), q1.AllVariables().size());
   coded.BindTo(&freezer);
 

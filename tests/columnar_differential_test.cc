@@ -1,18 +1,19 @@
-// Differential suite for the coded columnar engine: every verdict,
-// counter, and collected relation it produces must be byte-identical to
-// the retained row engine's over the same compiled plan.
+// Differential suite for the coded columnar engine, the only engine
+// that evaluates canonical databases in production: every verdict and
+// collected relation it produces must match the references built from
+// FreezeQuery's map-based database and the row engine behind
+// Evaluate/ComputesTuple.
 //
 // Three tiers:
-//   1. rewriter-level lattice sweep over the full persistent corpus,
-//      pitting columnar vs row under both schedulers;
-//   2. containment verdict + counter parity on >= 500 generated query
-//      pairs (the engines share the enumeration, so any divergence in
-//      orders_enumerated means a per-order verdict flipped);
+//   1. CheckEngineReferences over the full persistent corpus: the Phase-1
+//      keep test and view tuples per canonical database, and order
+//      enumeration, containment mappings and the Phase-2 containment
+//      verdict per Pre-Rewriting expansion;
+//   2. containment verdict parity on >= 500 generated query pairs against
+//      testing::ReferenceContainedCanonical;
 //   3. collect-mode parity: per canonical database, the decoded columnar
-//      output relation must equal the row engine's, tuple for tuple.
-//
-// Runs under the tsan label too: the parallel lattice points exercise the
-// engine switch against the work-stealing driver.
+//      output relation must equal Evaluate over FreezeQuery's database,
+//      tuple for tuple.
 
 #include <algorithm>
 #include <random>
@@ -30,46 +31,34 @@
 #include "parser/parser.h"
 #include "testing/corpus.h"
 #include "testing/differential.h"
+#include "testing/reference_engines.h"
 
 namespace cqac {
 namespace {
 
 using testing::CorpusEntry;
-using testing::DifferentialReport;
-using testing::LatticeConfig;
+using testing::EngineReport;
 using testing::LoadCorpusDir;
-using testing::RunConfigLattice;
 
-/// The engine-axis lattice: columnar (the production default) and the
-/// retained row engine, each under the serial and parallel drivers.  The
-/// serial columnar point is the baseline every other point diffs against.
-std::vector<LatticeConfig> EngineLattice() {
-  std::vector<LatticeConfig> lattice;
-  lattice.push_back(LatticeConfig{});  // columnar, serial (baseline)
-  LatticeConfig columnar_parallel;
-  columnar_parallel.jobs = 4;
-  lattice.push_back(columnar_parallel);
-  LatticeConfig row;
-  row.row_engine = true;
-  lattice.push_back(row);
-  LatticeConfig row_parallel;
-  row_parallel.row_engine = true;
-  row_parallel.jobs = 4;
-  lattice.push_back(row_parallel);
-  return lattice;
-}
-
-TEST(ColumnarDifferentialTest, FullCorpusRowVsColumnarLattice) {
+TEST(ColumnarDifferentialTest, FullCorpusEngineReferences) {
   std::string error;
   const auto corpus = LoadCorpusDir(CQAC_CORPUS_DIR, &error);
   ASSERT_TRUE(corpus.has_value()) << error;
   ASSERT_FALSE(corpus->empty());
-  const std::vector<LatticeConfig> lattice = EngineLattice();
+  int64_t databases = 0;
+  int64_t expansions = 0;
+  int64_t unchecked = 0;
   for (const CorpusEntry& entry : *corpus) {
-    const DifferentialReport report = RunConfigLattice(entry.c, lattice);
-    EXPECT_TRUE(report.ok) << entry.name << ": " << report.divergent_config
-                           << "\n" << report.failure;
+    const EngineReport report = testing::CheckEngineReferences(entry.c);
+    EXPECT_TRUE(report.ok) << entry.name << ": " << report.failure;
+    databases += report.databases;
+    expansions += report.expansions;
+    unchecked += report.unchecked;
   }
+  // The sweep must have compared something in each layer; skipped
+  // enumerations are reported, never counted as checked.
+  EXPECT_GT(databases, 0);
+  EXPECT_GT(expansions, unchecked);
 }
 
 /// Deterministic random CQAC rules over a small shared vocabulary.  Kept
@@ -148,40 +137,17 @@ class QueryGen {
   std::mt19937 rng_;
 };
 
-/// Runs CqacContainedCanonical under one engine and returns (verdict,
-/// stats).
-std::pair<bool, ContainmentStats> ContainUnder(const ConjunctiveQuery& q1,
-                                               const ConjunctiveQuery& q2,
-                                               bool row_engine) {
-  const bool saved = internal::RowEngineForced();
-  internal::ForceRowEngineForTest(row_engine);
-  ContainmentStats stats;
-  const bool verdict = CqacContainedCanonical(q1, q2, &stats);
-  internal::ForceRowEngineForTest(saved);
-  return {verdict, stats};
-}
-
-TEST(ColumnarDifferentialTest, GeneratedPairsVerdictAndCounterParity) {
+TEST(ColumnarDifferentialTest, GeneratedPairsVerdictParity) {
   QueryGen gen(/*seed=*/20060331);
   constexpr int kPairs = 500;
   for (int i = 0; i < kPairs; ++i) {
     const int head_arity = i % 3 == 0 ? 0 : 1;
     const ConjunctiveQuery q1 = gen.Rule(head_arity);
     const ConjunctiveQuery q2 = gen.Rule(head_arity);
-    const auto [row_verdict, row_stats] = ContainUnder(q1, q2, true);
-    const auto [col_verdict, col_stats] = ContainUnder(q1, q2, false);
-    ASSERT_EQ(row_verdict, col_verdict)
+    ASSERT_EQ(CqacContainedCanonical(q1, q2),
+              testing::ReferenceContainedCanonical(q1, q2))
         << "pair " << i << "\n  q1: " << q1.ToString()
         << "\n  q2: " << q2.ToString();
-    // Identical per-order verdicts imply identical early-exit points, so
-    // every enumeration counter must match exactly.
-    ASSERT_EQ(row_stats.orders_enumerated, col_stats.orders_enumerated)
-        << "pair " << i << "\n  q1: " << q1.ToString()
-        << "\n  q2: " << q2.ToString();
-    ASSERT_EQ(row_stats.orders_satisfying, col_stats.orders_satisfying)
-        << "pair " << i;
-    ASSERT_EQ(row_stats.nodes_visited, col_stats.nodes_visited) << "pair " << i;
-    ASSERT_EQ(row_stats.nodes_pruned, col_stats.nodes_pruned) << "pair " << i;
   }
 }
 
@@ -201,9 +167,8 @@ TEST(ColumnarDifferentialTest, GeneratedPairsCollectModeParity) {
     }
 
     CanonicalFreezer freezer(q1);
-    const PreparedQuery prepared(q2);
-    PreparedQuery::Scratch scratch;
-    CodedEvaluator coded(&prepared.plan());
+    const QueryPlan plan(q2);
+    CodedEvaluator coded(&plan);
     freezer.PrimeDictionary(constants, q1.AllVariables().size());
     coded.BindTo(&freezer);
 
@@ -211,12 +176,11 @@ TEST(ColumnarDifferentialTest, GeneratedPairsCollectModeParity) {
     ForEachSatisfyingOrderPruned(
         q1.AllVariables(), constants, q1.comparisons(), OrderSymmetry{},
         [&](const TotalOrder& order, int64_t) {
-          const FlatInstance& inst = freezer.Freeze(order);
-          Relation row_out;
+          freezer.Freeze(order);
           Relation col_out;
-          prepared.Run(inst, nullptr, &row_out, &scratch);
           coded.Run(freezer, /*match_frozen_head=*/false, &col_out);
-          EXPECT_EQ(row_out.tuples(), col_out.tuples())
+          const Relation expected = Evaluate(q2, FreezeQuery(q1, order).db);
+          EXPECT_EQ(expected.tuples(), col_out.tuples())
               << "pair " << i << " order " << orders_checked
               << "\n  q1: " << q1.ToString() << "\n  q2: " << q2.ToString();
           return ++orders_checked < 40;  // cap per pair, delta-freeze path

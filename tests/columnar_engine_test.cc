@@ -166,16 +166,15 @@ TEST(CodedEvaluatorTest, ZeroArityHeadMatchesFrozenHead) {
   EXPECT_TRUE(CqacContained(q2, q1));
 }
 
-TEST(CodedEvaluatorTest, MatchAndCollectAgreeWithRowEngine) {
+TEST(CodedEvaluatorTest, MatchAndCollectAgreeWithEvaluate) {
   const ConjunctiveQuery q1 = Parser::MustParseRule(
       "q(X) :- e(X,Y), e(Y,Z), X < Z, Y < 5");
   const ConjunctiveQuery q2 = Parser::MustParseRule("q(A) :- e(A,B), A < 5");
 
   std::vector<Rational> constants = q1.Constants();
   CanonicalFreezer freezer(q1);
-  const PreparedQuery prepared(q2);
-  PreparedQuery::Scratch scratch;
-  CodedEvaluator coded(&prepared.plan());
+  const QueryPlan plan(q2);
+  CodedEvaluator coded(&plan);
   freezer.PrimeDictionary(constants, q1.AllVariables().size());
   coded.BindTo(&freezer);
 
@@ -183,17 +182,16 @@ TEST(CodedEvaluatorTest, MatchAndCollectAgreeWithRowEngine) {
   ForEachSatisfyingOrderPruned(
       q1.AllVariables(), constants, q1.comparisons(), OrderSymmetry{},
       [&](const TotalOrder& order, int64_t) {
-        const FlatInstance& inst = freezer.Freeze(order);
-        const bool row_match =
-            prepared.Run(inst, &freezer.frozen_head(), nullptr, &scratch);
+        freezer.Freeze(order);
+        const CanonicalDatabase cdb = FreezeQuery(q1, order);
         const bool coded_match =
             coded.Run(freezer, /*match_frozen_head=*/true, nullptr);
-        EXPECT_EQ(row_match, coded_match) << "order " << orders;
-        Relation row_out;
+        EXPECT_EQ(ComputesTuple(q2, cdb.db, cdb.frozen_head), coded_match)
+            << "order " << orders;
         Relation coded_out;
-        prepared.Run(inst, nullptr, &row_out, &scratch);
         coded.Run(freezer, /*match_frozen_head=*/false, &coded_out);
-        EXPECT_EQ(row_out.tuples(), coded_out.tuples()) << "order " << orders;
+        EXPECT_EQ(Evaluate(q2, cdb.db).tuples(), coded_out.tuples())
+            << "order " << orders;
         ++orders;
         return true;
       });
@@ -205,8 +203,8 @@ TEST(CodedEvaluatorTest, SteadyStateArenaStopsGrowing) {
       Parser::MustParseRule("q(X) :- e(X,Y), e(Y,Z), e(Z,W)");
   const ConjunctiveQuery q2 = Parser::MustParseRule("q(A) :- e(A,B)");
   CanonicalFreezer freezer(q1);
-  const PreparedQuery prepared(q2);
-  CodedEvaluator coded(&prepared.plan());
+  const QueryPlan plan(q2);
+  CodedEvaluator coded(&plan);
   freezer.PrimeDictionary(q1.Constants(), q1.AllVariables().size());
   coded.BindTo(&freezer);
   size_t high_water_after_first = 0;

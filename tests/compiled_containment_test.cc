@@ -1,6 +1,6 @@
 // Tests for the compiled containment engine: the symbol interner, the
 // trail-based binding store, and a differential check of the compiled
-// mapping search against the legacy string-substitution search on
+// mapping search against the reference string-substitution search on
 // hundreds of generated query pairs.
 
 #include <algorithm>
@@ -12,6 +12,7 @@
 #include "containment/homomorphism.h"
 #include "gtest/gtest.h"
 #include "parser/parser.h"
+#include "testing/reference_engines.h"
 #include "workload/generator.h"
 
 namespace cqac {
@@ -129,7 +130,7 @@ TEST(BindingTrailTest, ResetClearsBindingsAndTrail) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential: compiled search vs legacy search
+// Differential: compiled search vs the reference search
 
 /// All mappings rendered and sorted, so enumeration order (which the
 /// compiled engine's subgoal reordering legitimately changes) does not
@@ -152,14 +153,15 @@ void ExpectSameMappings(const ConjunctiveQuery& from,
       [&](const std::function<bool(const Substitution&)>& fn) {
         ForEachContainmentMapping(from, to, fn);
       });
-  const std::vector<std::string> legacy = SortedMappings(
+  const std::vector<std::string> reference = SortedMappings(
       [&](const std::function<bool(const Substitution&)>& fn) {
-        internal::ForEachContainmentMappingLegacy(from, to, fn);
+        testing::ForEachContainmentMappingReference(from, to, fn);
       });
-  EXPECT_EQ(compiled, legacy) << label;
-  EXPECT_EQ(FindContainmentMapping(from, to).has_value(), !legacy.empty())
+  EXPECT_EQ(compiled, reference) << label;
+  EXPECT_EQ(FindContainmentMapping(from, to).has_value(), !reference.empty())
       << label;
-  EXPECT_EQ(AllContainmentMappings(from, to).size(), legacy.size()) << label;
+  EXPECT_EQ(AllContainmentMappings(from, to).size(), reference.size())
+      << label;
 }
 
 TEST(CompiledContainmentDifferentialTest, HandWrittenCornerCases) {

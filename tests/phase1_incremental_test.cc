@@ -21,6 +21,7 @@
 #include "rewriting/equiv_rewriter.h"
 #include "rewriting/view_tuples.h"
 #include "runtime/memo_cache.h"
+#include "testing/reference_engines.h"
 #include "workload/generator.h"
 
 namespace cqac {
@@ -163,15 +164,15 @@ TEST(PrunedOrderDifferentialTest, MatchesLegacyOn500Patterns) {
   for (int round = 0; round < 500; ++round) {
     const Pattern p = RandomPattern(&rng);
 
-    std::vector<std::string> legacy;
-    OrderEnumerationStats legacy_stats;
-    internal::ForEachSatisfyingOrderLegacy(
+    std::vector<std::string> reference;
+    OrderEnumerationStats reference_stats;
+    testing::ForEachSatisfyingOrderReference(
         p.variables, p.constants, p.axioms,
-        [&legacy](const TotalOrder& order) {
-          legacy.push_back(order.ToString());
+        [&reference](const TotalOrder& order) {
+          reference.push_back(order.ToString());
           return true;
         },
-        &legacy_stats);
+        &reference_stats);
 
     // 1. Without symmetry: exactly the same sequence, in the same order.
     std::vector<std::string> pruned;
@@ -184,11 +185,11 @@ TEST(PrunedOrderDifferentialTest, MatchesLegacyOn500Patterns) {
           return true;
         },
         &pruned_stats);
-    ASSERT_EQ(pruned, legacy) << "round " << round;
-    EXPECT_EQ(pruned_stats.orders_weighted, legacy_stats.orders_weighted);
-    EXPECT_LE(pruned_stats.nodes_visited, legacy_stats.nodes_visited);
+    ASSERT_EQ(pruned, reference) << "round " << round;
+    EXPECT_EQ(pruned_stats.orders_weighted, reference_stats.orders_weighted);
+    EXPECT_LE(pruned_stats.nodes_visited, reference_stats.nodes_visited);
 
-    // 2. With symmetry: orbit expansion reproduces the legacy multiset and
+    // 2. With symmetry: orbit expansion reproduces the reference multiset and
     // every multiplicity equals its orbit size.  Skipped for patterns with
     // out-of-universe axiom terms: the fallback path deliberately ignores
     // symmetry (every order is emitted with multiplicity 1).
@@ -220,17 +221,17 @@ TEST(PrunedOrderDifferentialTest, MatchesLegacyOn500Patterns) {
           weighted += mult;
           return true;
         });
-    std::vector<std::string> legacy_canonical;
-    internal::ForEachSatisfyingOrderLegacy(
+    std::vector<std::string> reference_canonical;
+    testing::ForEachSatisfyingOrderReference(
         p.variables, p.constants, p.axioms,
-        [&legacy_canonical](const TotalOrder& order) {
-          legacy_canonical.push_back(CanonicalString(order));
+        [&reference_canonical](const TotalOrder& order) {
+          reference_canonical.push_back(CanonicalString(order));
           return true;
         });
     std::sort(expanded.begin(), expanded.end());
-    std::sort(legacy_canonical.begin(), legacy_canonical.end());
-    ASSERT_EQ(expanded, legacy_canonical) << "round " << round;
-    EXPECT_EQ(weighted, static_cast<int64_t>(legacy.size()));
+    std::sort(reference_canonical.begin(), reference_canonical.end());
+    ASSERT_EQ(expanded, reference_canonical) << "round " << round;
+    EXPECT_EQ(weighted, static_cast<int64_t>(reference.size()));
   }
 }
 
@@ -242,11 +243,11 @@ TEST(PrunedOrderDifferentialTest, EarlyStopIsHonored) {
     ForEachSatisfyingOrderPruned(
         p.variables, p.constants, p.axioms, OrderSymmetry{},
         [&total](const TotalOrder&, int64_t) { return ++total < 3; });
-    int64_t legacy_total = 0;
-    internal::ForEachSatisfyingOrderLegacy(
+    int64_t reference_total = 0;
+    testing::ForEachSatisfyingOrderReference(
         p.variables, p.constants, p.axioms,
-        [&legacy_total](const TotalOrder&) { return ++legacy_total < 3; });
-    EXPECT_EQ(total, legacy_total);
+        [&reference_total](const TotalOrder&) { return ++reference_total < 3; });
+    EXPECT_EQ(total, reference_total);
   }
 }
 
@@ -261,19 +262,19 @@ TEST(PrunedOrderTest, ChainPrunesAtLeastFiveFold) {
     axioms.push_back(Comparison(Term::Variable(vars[i]), CompOp::kLt,
                                 Term::Variable(vars[i + 1])));
   }
-  OrderEnumerationStats legacy_stats;
-  internal::ForEachSatisfyingOrderLegacy(
+  OrderEnumerationStats reference_stats;
+  testing::ForEachSatisfyingOrderReference(
       vars, {}, axioms, [](const TotalOrder&) { return true; },
-      &legacy_stats);
+      &reference_stats);
   OrderEnumerationStats pruned_stats;
   ForEachSatisfyingOrderPruned(
       vars, {}, axioms, OrderSymmetry{},
       [](const TotalOrder&, int64_t) { return true; }, &pruned_stats);
-  EXPECT_EQ(legacy_stats.nodes_visited, 634);
-  EXPECT_EQ(legacy_stats.orders_emitted, 1);
+  EXPECT_EQ(reference_stats.nodes_visited, 634);
+  EXPECT_EQ(reference_stats.orders_emitted, 1);
   EXPECT_EQ(pruned_stats.orders_emitted, 1);
   EXPECT_EQ(pruned_stats.nodes_visited, 6);
-  EXPECT_GE(legacy_stats.nodes_visited, 5 * pruned_stats.nodes_visited);
+  EXPECT_GE(reference_stats.nodes_visited, 5 * pruned_stats.nodes_visited);
 }
 
 TEST(PrunedOrderTest, TransitiveClosurePrunesImpliedViolations) {
@@ -367,16 +368,20 @@ TEST(InterchangeableVariableGroupsTest, TransitivityViaSharedPartner) {
 // order walk must produce the same instance a from-scratch refill does.
 
 std::string SerializeInstance(const CanonicalFreezer& freezer) {
-  const FlatInstance& inst = freezer.instance();
+  const ColumnarInstance& inst = freezer.columnar();
   std::string s;
   for (uint32_t rel = 0; rel < inst.NumRelations(); ++rel) {
     s += "rel" + std::to_string(rel) + ":";
     // Rows are multiset-semantics but the freezer's row layout is fixed,
-    // so even the row order must agree.
-    for (size_t r = 0; r < inst.RowCount(rel); ++r) {
+    // so even the row order must agree.  Each cell shows its code and the
+    // value the code decodes to, so a stale code after a dictionary
+    // recode shows up too.
+    for (uint32_t r = 0; r < inst.RowCount(rel); ++r) {
       s += "(";
       for (int a = 0; a < inst.Arity(rel); ++a) {
-        s += inst.Row(rel, r)[a].ToString() + ",";
+        const uint32_t code = inst.At(rel, r, a);
+        s += std::to_string(code) + "=" +
+             freezer.dictionary().Value(code).ToString() + ",";
       }
       s += ")";
     }

@@ -61,6 +61,18 @@ TEST(RationalTest, OrderingBasics) {
   EXPECT_FALSE(Rational(2) < Rational(2));
 }
 
+TEST(RationalTest, OrderingIsExactNearInt64Limits) {
+  // Cross-multiplying these in 64 bits overflows; the order must still be
+  // exact.  INT64_MAX is odd, so INT64_MAX/2 stays a proper fraction.
+  constexpr int64_t kMax = INT64_MAX;
+  EXPECT_LT(Rational(kMax, 2), Rational(kMax - 1));
+  EXPECT_GT(Rational(kMax - 1), Rational(kMax, 2));
+  EXPECT_LT(Rational(-(kMax - 1)), Rational(-kMax, 2));
+  // (M-1)/M vs (M-2)/(M-1): the cross products differ by exactly 1.
+  EXPECT_GT(Rational(kMax - 1, kMax), Rational(kMax - 2, kMax - 1));
+  EXPECT_FALSE(Rational(kMax, 3) < Rational(kMax, 3));
+}
+
 TEST(RationalTest, Arithmetic) {
   EXPECT_EQ(Rational(1, 2) + Rational(1, 3), Rational(5, 6));
   EXPECT_EQ(Rational(1, 2) - Rational(1, 3), Rational(1, 6));

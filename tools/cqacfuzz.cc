@@ -3,11 +3,13 @@
 //
 // Per generated (or corpus) case it
 //   1. runs every configuration-lattice point (serial vs parallel, Phase-1
-//      memo on/off, Phase-2 memo cache on/off, pruned vs legacy order
-//      enumeration, compiled vs legacy containment mapping, verify) and
-//      diffs the invariant signatures;
+//      memo on/off, Phase-2 memo cache on/off, verify, catalog serving,
+//      forced tiers) and diffs the invariant signatures;
 //   2. checks every Phase-2 verdict (one per Pre-Rewriting) against the
-//      full-path reference, and any found rewriting against the
+//      full-path reference, the production engines (keep test, view
+//      tuples, order enumeration, containment mappings, Phase-2
+//      containment) against the references in
+//      testing/reference_engines.h, and any found rewriting against the
 //      brute-force semantic oracle (canonical, random, and exhaustive
 //      small databases);
 //   3. applies a random metamorphic mutation and asserts its declared
@@ -194,7 +196,8 @@ WorkloadConfig DrawConfig(std::mt19937_64& meta, bool tiers) {
 }
 
 struct Finding {
-  std::string kind;     // "lattice", "phase2", "oracle", "metamorphic"
+  std::string kind;     // "lattice", "phase2", "engine", "oracle",
+                        // "metamorphic"
   std::string detail;   // what diverged / the counterexample
   FuzzCase c;           // the failing case (mutant for metamorphic)
   bool shrinkable = true;
@@ -238,6 +241,16 @@ class Fuzzer {
       Finding f;
       f.kind = "phase2";
       f.detail = phase2.failure;
+      f.c = c;
+      return f;
+    }
+    const EngineReport engines = CheckEngineReferences(c);
+    engine_expansions_ += engines.expansions;
+    engine_unchecked_ += engines.unchecked;
+    if (!engines.ok) {
+      Finding f;
+      f.kind = "engine";
+      f.detail = engines.failure;
       f.c = c;
       return f;
     }
@@ -397,7 +410,8 @@ class Fuzzer {
                  "cqacfuzz: %lld cases, %lld lattice points/case, "
                  "%lld oracle orders, %lld oracle databases, "
                  "%lld partially-checked, %lld Phase-2 verdicts "
-                 "(%lld full checks), %lld findings\n",
+                 "(%lld full checks), %lld engine-checked expansions "
+                 "(%lld unchecked), %lld findings\n",
                  static_cast<long long>(cases_),
                  static_cast<long long>(lattice_.size()),
                  static_cast<long long>(oracle_orders_),
@@ -405,6 +419,8 @@ class Fuzzer {
                  static_cast<long long>(oracle_partial_),
                  static_cast<long long>(phase2_checks_),
                  static_cast<long long>(phase2_full_checks_),
+                 static_cast<long long>(engine_expansions_),
+                 static_cast<long long>(engine_unchecked_),
                  static_cast<long long>(findings_));
     return findings_ == 0 ? 0 : 1;
   }
@@ -442,6 +458,8 @@ class Fuzzer {
   int64_t oracle_partial_ = 0;
   int64_t phase2_checks_ = 0;
   int64_t phase2_full_checks_ = 0;
+  int64_t engine_expansions_ = 0;
+  int64_t engine_unchecked_ = 0;
 };
 
 int Main(int argc, char** argv) {

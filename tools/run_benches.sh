@@ -26,7 +26,7 @@
 #                         of cqacd worker threads
 #                         -> results/BENCH_parallel_scaling.json
 #
-# `columnar_engine` is the bench_columnar binary (row vs coded columnar
+# `columnar_engine` is the bench_columnar binary (the coded columnar
 # engine) recorded under the trajectory name
 # results/BENCH_columnar_engine.json.
 #
