@@ -7,6 +7,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "rewriting/exportable.h"
+#include "runtime/memo_cache.h"
 #include "runtime/parallel_rewriter.h"
 
 namespace cqac {
@@ -130,8 +131,7 @@ struct ViewCatalog::SemanticEntry {
 ViewCatalog::ViewCatalog(ViewSet views, CatalogOptions options)
     : options_(options),
       views_(std::move(views)),
-      epoch_(g_next_epoch.fetch_add(1, std::memory_order_relaxed) + 1),
-      containment_memo_(options.containment_cache_capacity) {
+      epoch_(g_next_epoch.fetch_add(1, std::memory_order_relaxed) + 1) {
   CQAC_TRACE_SPAN("catalog.build");
   closures_.reserve(views_.views().size());
   for (const ConjunctiveQuery& view : views_.views()) {
@@ -318,11 +318,9 @@ RewriteResult ViewCatalog::Rewrite(const ConjunctiveQuery& query,
   CQAC_TRACE_SPAN("catalog.rewrite");
 
   // Explain runs bypass every cache: traces must be complete and are
-  // never replayed.  A one-shot run still shares this catalog's
-  // containment memo (verdicts are pure, so traces are unaffected).
+  // never replayed.
   if (options.explain) {
-    RewriteResult result =
-        EquivalentRewriter(query, views_, options, &containment_memo_).Run();
+    RewriteResult result = EquivalentRewriter(query, views_, options).Run();
     result.catalog_epoch = epoch_;
     return result;
   }
@@ -355,9 +353,8 @@ RewriteResult ViewCatalog::Rewrite(const ConjunctiveQuery& query,
   Phase1Memo* phase1 =
       options.phase1_dedup ? &plan->phase1_memo : nullptr;
 
-  RewriteResult result =
-      ParallelRewritePrepared(plan->work, options, &containment_memo_, pool,
-                              /*report=*/nullptr, phase1);
+  RewriteResult result = ParallelRewritePrepared(
+      plan->work, options, pool, /*report=*/nullptr, phase1);
   result.catalog_epoch = epoch_;
 
   if (options_.semantic_cache && result.outcome != RewriteOutcome::kAborted) {
@@ -375,7 +372,6 @@ CatalogStats ViewCatalog::Stats() const {
   stats.plan_hits = plan_hits_.load(std::memory_order_relaxed);
   stats.semantic_hits = semantic_hits_.load(std::memory_order_relaxed);
   stats.semantic_misses = semantic_misses_.load(std::memory_order_relaxed);
-  stats.containment = containment_memo_.Stats();
   return stats;
 }
 
@@ -445,10 +441,6 @@ CatalogRegistryStats CatalogRegistry::Stats() const {
     out.plan_hits += stats.plan_hits;
     out.semantic_hits += stats.semantic_hits;
     out.semantic_misses += stats.semantic_misses;
-    out.containment.hits += stats.containment.hits;
-    out.containment.misses += stats.containment.misses;
-    out.containment.insertions += stats.containment.insertions;
-    out.containment.evictions += stats.containment.evictions;
   }
   return out;
 }

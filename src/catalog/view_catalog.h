@@ -15,7 +15,6 @@
 //    variable of the views, the exported V0 variants flattened in view
 //    order, the deduplicated ascending view-constant pool, and each
 //    view's AC closure (satisfiability + forced equalities);
-//  * a catalog-scoped containment MemoCache, persistent across requests;
 //  * a plan cache: per (query, semantic options) a prepared RewriteWork —
 //    compiled query plan, MiniCon buckets, MCD relations — plus a persistent
 //    catalog-scoped Phase-1 fingerprint memo.  A plan's stable work_id
@@ -55,16 +54,12 @@
 #include "ast/substitution.h"
 #include "rewriting/equiv_rewriter.h"
 #include "rewriting/view_set.h"
-#include "runtime/memo_cache.h"
 
 namespace cqac {
 
 class ThreadPool;
 
 struct CatalogOptions {
-  /// Capacity of the catalog-scoped Phase-2 containment MemoCache.
-  size_t containment_cache_capacity = 1 << 16;
-
   /// Compiled query plans kept (LRU).  A plan is a prepared RewriteWork
   /// plus its persistent Phase-1 memo; evicting one only costs a rebuild.
   size_t plan_capacity = 64;
@@ -73,7 +68,7 @@ struct CatalogOptions {
   size_t semantic_capacity = 1 << 12;
 
   /// The alpha-normalized result cache.  Off, every request still reuses
-  /// the compiled views, plans, and both memos; results are byte-identical
+  /// the compiled views, plans, and Phase-1 memos; results are byte-identical
   /// either way (the corpus replay test asserts it), so this exists for
   /// ablation and the config lattice, not as a safety valve.
   bool semantic_cache = true;
@@ -99,7 +94,12 @@ struct CatalogStats {
   int64_t plan_hits = 0;
   int64_t semantic_hits = 0;
   int64_t semantic_misses = 0;
-  MemoCacheStats containment;
+  /// Kept only until a benchmark change drops it: the hit/miss counters
+  /// of the deleted Phase-2 containment memo, always zero.
+  struct {
+    int64_t hits = 0;
+    int64_t misses = 0;
+  } containment;
 };
 
 class ViewCatalog {
@@ -135,14 +135,10 @@ class ViewCatalog {
     return closures_[static_cast<size_t>(i)];
   }
 
-  /// The catalog-scoped Phase-2 containment memo, shared by every request
-  /// served through this catalog.
-  MemoCache& containment_memo() { return containment_memo_; }
-
   /// Serves one request through the catalog.  Semantically identical to
-  /// `EquivalentRewriter(query, views(), options, &containment_memo()).Run()`
-  /// — outcome, rewriting, failure reason, and the configuration-invariant
-  /// stats are byte-identical — but compiled view data, plans, the
+  /// `EquivalentRewriter(query, views(), options).Run()` — outcome,
+  /// rewriting, failure reason, and the configuration-invariant stats are
+  /// byte-identical — but compiled view data, plans, the
   /// Phase-1 memo, and the semantic cache are reused across calls.
   ///
   /// Driver-level options are honored per request: `jobs` selects inline
@@ -178,8 +174,6 @@ class ViewCatalog {
   std::vector<Rational> view_constants_;
   std::vector<ViewClosure> closures_;
 
-  MemoCache containment_memo_;
-
   mutable std::mutex plan_mu_;
   std::list<std::pair<std::string, std::shared_ptr<const CatalogPlan>>>
       plans_;  // front = most recent
@@ -207,7 +201,6 @@ struct CatalogRegistryStats {
   int64_t plan_hits = 0;
   int64_t semantic_hits = 0;
   int64_t semantic_misses = 0;
-  MemoCacheStats containment;
 };
 
 /// A small LRU of catalogs keyed by view-set fingerprint, so long-lived

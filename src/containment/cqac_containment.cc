@@ -1,9 +1,11 @@
 #include "containment/cqac_containment.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "constraints/ac_solver.h"
 #include "constraints/orders.h"
+#include "containment/canonical_coverage.h"
 #include "containment/homomorphism.h"
 #include "containment/normalization.h"
 #include "engine/canonical.h"
@@ -238,49 +240,20 @@ bool CqacContainedInUnion(const ConjunctiveQuery& q, const UnionQuery& u,
   for (const ConjunctiveQuery& disjunct : u.disjuncts()) {
     MergeConstants(disjunct.Constants(), &constants);
   }
-
-  CanonicalFreezer freezer(q);
-  std::vector<QueryPlan> plans;
-  plans.reserve(u.disjuncts().size());
+  CanonicalDatabases databases(q, std::move(constants));
   for (const ConjunctiveQuery& disjunct : u.disjuncts()) {
-    plans.emplace_back(disjunct);
+    databases.AddQuery(disjunct);
   }
-  // Coded engine per disjunct (evaluators hold plan pointers, so the
-  // plans vector must not grow past this point).
-  freezer.PrimeDictionary(constants, q.AllVariables().size());
-  std::vector<CodedEvaluator> coded;
-  coded.reserve(plans.size());
-  for (const QueryPlan& plan : plans) {
-    coded.emplace_back(&plan);
-    coded.back().BindTo(&freezer);
-  }
-
-  // Same orbit argument as CqacContainedCanonical: "some disjunct
-  // computes the frozen head" is a per-order verdict derived from the
-  // canonical database alone.
-  OrderSymmetry symmetry;
-  symmetry.groups = InterchangeableVariableGroups(q);
 
   bool contained = true;
   OrderEnumerationStats enum_stats;
-  ForEachSatisfyingOrderPruned(
-      q.AllVariables(), constants, q.comparisons(), symmetry,
+  databases.ForEachOrbit(
       [&](const TotalOrder& order, int64_t multiplicity) {
         if (stats != nullptr) {
           ++stats->orders_enumerated;
           stats->orders_satisfying += multiplicity;
         }
-        freezer.Freeze(order);
-        bool some_disjunct_computes = false;
-        for (CodedEvaluator& disjunct : coded) {
-          // Run returns false for an arity-mismatched disjunct, as
-          // ComputesTuple does.
-          if (disjunct.Run(freezer, /*match_frozen_head=*/true, nullptr)) {
-            some_disjunct_computes = true;
-            break;
-          }
-        }
-        if (!some_disjunct_computes) {
+        if (!databases.ComputedBySome(order)) {
           contained = false;
           return false;
         }

@@ -95,7 +95,8 @@ std::optional<std::vector<Comparison>> TryMergeSets(
 
 }  // namespace
 
-UnionQuery CoalesceUnion(const UnionQuery& u) {
+UnionQuery CoalesceUnion(const UnionQuery& u,
+                         const CancellationToken* cancel) {
   // Group by (head, sorted body).
   struct Group {
     Atom head;
@@ -121,7 +122,7 @@ UnionQuery CoalesceUnion(const UnionQuery& u) {
     (void)key;
     std::vector<std::vector<Comparison>>& sets = group.comp_sets;
     bool changed = true;
-    while (changed) {
+    while (changed && (cancel == nullptr || !cancel->cancelled())) {
       changed = false;
       // Drop exact duplicates and unsatisfiable members.
       for (size_t i = 0; i < sets.size() && !changed; ++i) {

@@ -2,6 +2,7 @@
 #define CQAC_REWRITING_COALESCE_H_
 
 #include "ast/query.h"
+#include "runtime/cancellation.h"
 
 namespace cqac {
 
@@ -26,7 +27,12 @@ namespace cqac {
 /// The examples above become `q(A) :- v(A,A), A <= 8` and
 /// `q(P) :- free(P)`.  Every step preserves the union's semantics
 /// exactly, so the result is still an equivalent rewriting.
-UnionQuery CoalesceUnion(const UnionQuery& u);
+///
+/// `cancel`, when non-null, is polled before every step; once it is set
+/// the pass stops and returns the union as compacted so far, which is
+/// still equivalent to `u`.
+UnionQuery CoalesceUnion(const UnionQuery& u,
+                         const CancellationToken* cancel = nullptr);
 
 }  // namespace cqac
 

@@ -6,6 +6,7 @@
 
 #include "constraints/ac_solver.h"
 #include "constraints/orders.h"
+#include "containment/canonical_coverage.h"
 #include "containment/cqac_containment.h"
 #include "rewriting/expansion.h"
 
@@ -67,10 +68,16 @@ EnumerationResult EnumerateEquivalentRewriting(const ConjunctiveQuery& query,
 
   const std::vector<Atom> atoms = CandidateAtoms(views, pool);
 
-  // Accumulated disjuncts that individually pass the containment check.
+  // Accumulated disjuncts that individually pass the containment check,
+  // and the query's canonical databases none of their expansions covers
+  // yet.  The pool of constants is closed: candidate atoms and order
+  // comparisons take theirs from `constants`, expansion brings in only
+  // view constants (all in `constants`), and simplification substitutes
+  // only terms already present.  So the incremental coverage decides what
+  // CqacContainedInUnion(query, <accepted expansions>) would.
   std::vector<ConjunctiveQuery> accepted;
-  UnionQuery accepted_expanded;
   std::set<std::string> accepted_keys;
+  CanonicalCoverage coverage(query, constants);
 
   // Enumerate bodies: nonempty subsets of `atoms` of size <= max_subgoals,
   // in increasing size (lexicographic index vectors, no repeats).
@@ -127,10 +134,10 @@ EnumerationResult EnumerateEquivalentRewriting(const ConjunctiveQuery& query,
               if (!CqacContainedCanonical(*simplified, query)) return true;
               if (accepted_keys.insert(disjunct.ToString()).second) {
                 accepted.push_back(disjunct);
-                accepted_expanded.Add(*simplified);
                 // Does the union now cover the query?
                 ++result.containment_checks;
-                if (CqacContainedInUnion(query, accepted_expanded)) {
+                coverage.Add(*simplified);
+                if (coverage.complete()) {
                   result.found = true;
                   done = true;
                   return false;

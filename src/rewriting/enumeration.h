@@ -35,6 +35,12 @@ struct EnumerationResult {
 
   int64_t candidate_bodies = 0;   // bodies enumerated
   int64_t candidate_disjuncts = 0;  // body+order pairs tested
+
+  /// One per candidate disjunct whose expansion was tested for
+  /// containment in the query, plus one coverage update per accepted
+  /// disjunct.  A coverage update evaluates only the new disjunct's
+  /// expansion, on the query's canonical databases that no earlier
+  /// accepted expansion covers (CanonicalCoverage).
   int64_t containment_checks = 0;
 };
 
@@ -44,7 +50,10 @@ struct EnumerationResult {
 /// the constants of query and views, and a few fresh variables); for each
 /// body, enumerate every total order of its variables, keep body+order
 /// disjuncts whose expansion is contained in the query, and accumulate
-/// them until the union contains the query.
+/// them until the union contains the query.  That last test is
+/// incremental: the query's canonical databases over its constants and
+/// the views' are enumerated once, and each accepted disjunct only
+/// removes the ones its expansion covers.
 ///
 /// Sound by construction, and complete relative to the bounds; its cost is
 /// what makes the paper's pruned algorithm worthwhile ("a completely naive

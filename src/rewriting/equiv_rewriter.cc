@@ -613,11 +613,10 @@ static std::optional<ConjunctiveQuery> OrderPinnedPart(
 }
 
 /// Phase 2 for one Pre-Rewriting: a cheap sound test on the order-pinned
-/// part of the expansion first, the full simplify + memo + canonical test
-/// only when that test does not settle the check.
+/// part of the expansion first, the full simplify + canonical test only
+/// when that test does not settle the check.
 static Phase2Outcome CheckExpansionContainedImpl(const RewriteWork& work,
-                                                 const ConjunctiveQuery& pre,
-                                                 MemoCache* memo) {
+                                                 const ConjunctiveQuery& pre) {
   ConjunctiveQuery expansion;
   {
     CQAC_TRACE_SPAN("phase2.expand");
@@ -648,29 +647,17 @@ static Phase2Outcome CheckExpansionContainedImpl(const RewriteWork& work,
     std::optional<ConjunctiveQuery> simplified = SimplifyQuery(expansion);
     if (simplified.has_value()) expansion = *std::move(simplified);
   }
-  std::string key;
-  if (memo != nullptr) {
-    CQAC_TRACE_SPAN("phase2.memo_probe");
-    key = ContainmentMemoKey(expansion, work.query);
-    if (std::optional<bool> cached = memo->Get(key); cached.has_value()) {
-      out.contained = *cached;
-      out.cache_hit = true;
-      return out;
-    }
-  }
   ContainmentStats cstats;
   out.contained = CqacContainedCanonical(expansion, work.query, &cstats);
   out.orders_enumerated += cstats.orders_enumerated;
-  if (memo != nullptr) memo->Put(key, out.contained);
   return out;
 }
 
 Phase2Outcome CheckExpansionContained(const RewriteWork& work,
-                                      const ConjunctiveQuery& pre,
-                                      MemoCache* memo) {
+                                      const ConjunctiveQuery& pre) {
   CQAC_TRACE_SPAN("phase2.check");
   const int64_t t0 = NowNs();
-  Phase2Outcome out = CheckExpansionContainedImpl(work, pre, memo);
+  Phase2Outcome out = CheckExpansionContainedImpl(work, pre);
   out.wall_ns = NowNs() - t0;
   if (obs::MetricsActive()) {
     static obs::Histogram& wall =
@@ -690,8 +677,9 @@ void FinalizeFoundRewriting(const RewriteWork& work,
                             RewriteResult* result) {
   CQAC_TRACE_SPAN("finalize");
   const RewriteOptions& options = work.options;
-  // Polled between minimize steps and before verify, the passes whose
-  // cost grows with the union.
+  // Polled after coalescing (which polls between its own steps), between
+  // minimize steps and before verify, the passes whose cost grows with
+  // the union.
   const auto aborted_by_cancel = [&options, result] {
     if (options.cancel == nullptr || !options.cancel->cancelled()) {
       return false;
@@ -702,7 +690,10 @@ void FinalizeFoundRewriting(const RewriteWork& work,
   };
 
   UnionQuery rewriting(std::move(pre_rewritings));
-  if (options.coalesce_output) rewriting = CoalesceUnion(rewriting);
+  if (options.coalesce_output) {
+    rewriting = CoalesceUnion(rewriting, options.cancel);
+    if (aborted_by_cancel()) return;
+  }
 
   // The default frozen-match pruning guarantees Lemma 2 (every
   // Pre-Rewriting computes the query's head on its canonical database, so
@@ -774,7 +765,7 @@ std::optional<RewriteResult> RewriteUnsatisfiableQuery(
 }
 
 RewriteResult EquivalentRewriter::Run() {
-  return ParallelRewrite(query_, views_, options_, memo_);
+  return ParallelRewrite(query_, views_, options_);
 }
 
 RewriteResult FindEquivalentRewriting(const ConjunctiveQuery& query,

@@ -1,6 +1,7 @@
 #ifndef CQAC_REWRITING_EQUIV_REWRITER_H_
 #define CQAC_REWRITING_EQUIV_REWRITER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -19,7 +20,6 @@
 
 namespace cqac {
 
-class MemoCache;   // runtime/memo_cache.h
 class Phase1Memo;  // runtime/memo_cache.h
 
 /// Options controlling the equivalent-rewriting algorithm.
@@ -93,9 +93,9 @@ struct RewriteOptions {
   /// containment checks of the runtime/parallel_rewriter driver.  1 (the
   /// default; also any negative value) runs every task inline on the
   /// caller's thread; 0 means std::thread::hardware_concurrency(); any
-  /// other value is the pool's thread count.  Results are byte-identical
-  /// regardless of the value (with a memo cache, the work counter
-  /// stats.phase2_orders may differ; see runtime/parallel_rewriter.h).
+  /// other value is the pool's thread count.  Results, and every work
+  /// counter outside the schedule-dependent memo and grid splits, are
+  /// byte-identical regardless of the value (runtime/parallel_rewriter.h).
   int jobs = 1;
 
   /// Pins the execution tier chosen by the structural classifier
@@ -111,12 +111,13 @@ struct RewriteOptions {
   /// Cooperative cancellation (runtime/cancellation.h), the mechanism
   /// behind per-request deadlines in the rewrite service.  When non-null,
   /// the driver polls the token at canonical-database and Phase-2
-  /// containment-check boundaries, and finalize before each minimize step
-  /// and before verify, and aborts with outcome kAborted and
-  /// failure_reason "cancelled" as soon as it is set.  Abort latency is
-  /// therefore bounded by one work unit (one ProcessCanonicalDatabase,
-  /// CheckExpansionContained or minimize step), not by the whole run.
-  /// The caller keeps ownership; the token must outlive Run().
+  /// containment-check boundaries, and finalize between coalescing steps,
+  /// before each minimize step and before verify, and aborts with outcome
+  /// kAborted and failure_reason "cancelled" as soon as it is set.  Abort
+  /// latency is therefore bounded by one work unit (one
+  /// ProcessCanonicalDatabase, CheckExpansionContained, coalescing or
+  /// minimize step), not by the whole run.  The caller keeps ownership;
+  /// the token must outlive Run().
   const CancellationToken* cancel = nullptr;
 };
 
@@ -179,7 +180,9 @@ struct RewriteStats {
 /// (server/protocol.h, docs/SERVICE.md).
 /// v6: `tier2_jointree_evals` removed from every record with the join-tree
 /// tier; `tier` is 0 or 1.
-inline constexpr int kStatsJsonSchemaVersion = 6;
+/// v7: batch records lost `cache_hits` / `cache_misses` with the Phase-2
+/// containment memo; every Phase-2 check now runs.
+inline constexpr int kStatsJsonSchemaVersion = 7;
 
 enum class RewriteOutcome {
   kRewritingFound,
@@ -356,13 +359,12 @@ struct Phase2Outcome {
   bool contained = false;
   /// Canonical databases visited by the check's containment tests: the
   /// order-pinned test's (usually one) plus, on a full check, the full
-  /// test's; a memo hit adds none for the full test.
+  /// test's.
   int64_t orders_enumerated = 0;
   /// The order-pinned test did not settle the check, so the full
-  /// simplify + memo + canonical test ran (counted as phase2.full_checks).
+  /// simplify + canonical test ran (counted as phase2.full_checks).
   bool full_check = false;
-  bool cache_hit = false;
-  int64_t wall_ns = 0;  // elapsed time of this check (incl. memo probe)
+  int64_t wall_ns = 0;  // elapsed time of this check
 };
 
 /// Expands `pre` with respect to the views and tests containment in the
@@ -371,19 +373,25 @@ struct Phase2Outcome {
 /// atoms all of whose variables `pre`'s total order pins, with the
 /// comparisons over them — is tested first: E ⊑ E_S by the identity
 /// mapping, so E_S ⊑ query settles the check.  Otherwise the full test
-/// runs on E (simplified when options.simplify_expansions).  When `memo`
-/// is non-null the full test's verdict is memoized under a normalized
-/// (expansion, query) key — the verdict is a pure function of that key,
-/// so memoization never changes results, only `orders_enumerated`.
+/// runs on E (simplified when options.simplify_expansions).  No verdict
+/// is cached: every call runs its tests.
 Phase2Outcome CheckExpansionContained(const RewriteWork& work,
-                                      const ConjunctiveQuery& pre,
-                                      MemoCache* memo);
+                                      const ConjunctiveQuery& pre);
+
+/// Kept only until a benchmark change drops it: the signature that took a
+/// Phase-2 memo, called with nullptr by the perfbench traced re-drive.
+inline Phase2Outcome CheckExpansionContained(const RewriteWork& work,
+                                             const ConjunctiveQuery& pre,
+                                             std::nullptr_t) {
+  return CheckExpansionContained(work, pre);
+}
 
 /// The post-Phase-2 tail of the driver: coalescing, the weakened-pruning
 /// Lemma-2 check, output minimization, and optional verification.  Sets
 /// result->outcome / rewriting / verified / failure_reason.  Polls
-/// work.options.cancel before each minimize step and before verify; a
-/// set token ends the pass with kAborted and kCancelledReason.
+/// work.options.cancel between coalescing steps, before each minimize
+/// step and before verify; a set token ends the pass with kAborted and
+/// kCancelledReason.
 void FinalizeFoundRewriting(const RewriteWork& work,
                             std::vector<ConjunctiveQuery> pre_rewritings,
                             RewriteResult* result);
@@ -402,27 +410,21 @@ void FinalizeFoundRewriting(const RewriteWork& work,
 /// expansion is contained in the query (the two-column tableau).
 class EquivalentRewriter {
  public:
-  /// `memo`, when given, caches Phase-2 containment verdicts across runs
-  /// (see runtime/memo_cache.h); it may be shared between concurrent
-  /// rewriters.  The rewriter does not own it.
   EquivalentRewriter(ConjunctiveQuery query, ViewSet views,
-                     RewriteOptions options = {}, MemoCache* memo = nullptr)
+                     RewriteOptions options = {})
       : query_(std::move(query)),
         views_(std::move(views)),
-        options_(options),
-        memo_(memo) {}
+        options_(options) {}
 
   /// Runs the algorithm through ParallelRewrite (inline when
   /// options.jobs == 1).  Deterministic for fixed inputs and identical for
-  /// every thread count (modulo the memo-cache caveat in
-  /// runtime/parallel_rewriter.h).
+  /// every thread count (runtime/parallel_rewriter.h).
   RewriteResult Run();
 
  private:
   ConjunctiveQuery query_;
   ViewSet views_;
   RewriteOptions options_;
-  MemoCache* memo_;
 };
 
 /// Convenience entry point with default options.

@@ -155,8 +155,6 @@ void WriteBatchFooter(std::ostream& out, const BatchSummary& summary,
       << " found, " << summary.none << " none, " << summary.aborted
       << " aborted, " << summary.deadline_exceeded << " deadline-exceeded, "
       << summary.rejected << " rejected, " << summary.errors << " errors\n";
-  out << "cache: " << summary.cache.hits << " hits, " << summary.cache.misses
-      << " misses, " << summary.cache.evictions << " evictions\n";
   if (summary.catalog_enabled) {
     out << "catalog: " << summary.catalogs_built << " built, epoch "
         << summary.catalog_epoch << ", " << summary.catalog_plans_built
@@ -184,9 +182,7 @@ void WriteBatchFooter(std::ostream& out, const BatchSummary& summary,
         << ", \"aborted\": " << summary.aborted
         << ", \"deadline_exceeded\": " << summary.deadline_exceeded
         << ", \"rejected\": " << summary.rejected << ", \"errors\": "
-        << summary.errors << ", \"cache_hits\": " << summary.cache.hits
-        << ", \"cache_misses\": " << summary.cache.misses
-        << ", \"canonical_databases\": "
+        << summary.errors << ", \"canonical_databases\": "
         << summary.rewrite.canonical_databases
         << ", \"kept_canonical_databases\": "
         << summary.rewrite.kept_canonical_databases
@@ -227,18 +223,11 @@ BatchSummary RunBatch(std::istream& in, std::ostream& out,
     return summary;
   }
 
-  // Each job runs the rewriter inline on one worker; the shared memo
-  // cache carries containment verdicts across jobs, so repeated or
-  // near-duplicate jobs in a batch get cheaper as the batch proceeds.
+  // Each job runs the rewriter inline on one worker.
   RewriteOptions per_job = options.rewrite;
   per_job.jobs = 1;
-  MemoCache memo(options.cache_capacity);
   std::optional<CatalogRegistry> registry;
-  if (options.use_catalog) {
-    CatalogOptions copts;
-    copts.containment_cache_capacity = options.cache_capacity;
-    registry.emplace(/*capacity=*/8, copts);
-  }
+  if (options.use_catalog) registry.emplace(/*capacity=*/8);
   ThreadPool pool(ThreadPool::ResolveJobs(options.jobs));
 
   std::vector<std::string> outputs(jobs.size());
@@ -270,8 +259,7 @@ BatchSummary RunBatch(std::istream& in, std::ostream& out,
         const RewriteResult result =
             registry.has_value()
                 ? registry->GetOrBuild(job.views)->Rewrite(*job.query, per_job)
-                : EquivalentRewriter(*job.query, job.views, per_job, &memo)
-                      .Run();
+                : EquivalentRewriter(*job.query, job.views, per_job).Run();
         outcome = result.outcome;
         stats = result.stats;
         rendered = RenderJobResult(i, job, result, options.echo);
@@ -320,16 +308,10 @@ BatchSummary RunBatch(std::istream& in, std::ostream& out,
     summary.catalog_semantic_hits = cstats.semantic_hits;
     summary.catalog_semantic_misses = cstats.semantic_misses;
     summary.catalog_epoch = cstats.latest_epoch;
-    summary.cache = cstats.containment;
-  } else {
-    summary.cache = memo.Stats();
   }
   for (const RewriteStats& s : job_stats) summary.rewrite.Merge(s);
   if (obs::MetricsActive()) {
     obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-    reg.counter("memo_cache.hits").Add(summary.cache.hits);
-    reg.counter("memo_cache.misses").Add(summary.cache.misses);
-    reg.counter("memo_cache.evictions").Add(summary.cache.evictions);
     reg.counter("batch.jobs").Add(summary.jobs_total);
     reg.gauge("threadpool.max_queue_depth").Max(pool.max_queue_depth());
     reg.counter("threadpool.tasks_stolen").Add(pool.tasks_stolen());

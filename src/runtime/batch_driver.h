@@ -9,7 +9,6 @@
 
 #include "rewriting/equiv_rewriter.h"
 #include "rewriting/view_set.h"
-#include "runtime/memo_cache.h"
 
 namespace cqac {
 
@@ -23,9 +22,6 @@ struct BatchOptions {
   /// on one worker, which keeps every core busy without oversubscribing.
   RewriteOptions rewrite;
 
-  /// Total entry budget of the shared containment memo cache.
-  size_t cache_capacity = 1 << 16;
-
   /// Echo each job's query/view definitions before its result.
   bool echo = false;
 
@@ -36,8 +32,8 @@ struct BatchOptions {
   bool print_stats = false;
 
   /// Append a one-line JSON record of the batch summary — job outcomes,
-  /// containment-cache counters, and the aggregated rewrite stats
-  /// including the Phase-1 memo hit/miss split.  Behind `cqacsh --json`.
+  /// catalog counters, and the aggregated rewrite stats including the
+  /// Phase-1 memo hit/miss split.  Behind `cqacsh --json`.
   bool json_summary = false;
 
   /// Append a dump of the global metrics registry (obs/metrics.h) after
@@ -46,9 +42,9 @@ struct BatchOptions {
 
   /// Route jobs through a CatalogRegistry (catalog/view_catalog.h): each
   /// distinct view set in the batch is compiled into one shared
-  /// ViewCatalog and its plans, Phase-1 memo, containment memo, and
-  /// semantic result cache are reused across the batch's jobs.  Results
-  /// are byte-identical either way.  Behind `cqacsh --catalog`.
+  /// ViewCatalog and its plans, Phase-1 memo, and semantic result cache
+  /// are reused across the batch's jobs.  Results are byte-identical
+  /// either way.  Behind `cqacsh --catalog`.
   bool use_catalog = false;
 };
 
@@ -66,7 +62,6 @@ struct BatchSummary {
   int64_t deadline_exceeded = 0;  // jobs cancelled by their deadline
   int64_t rejected = 0;   // jobs shed by admission control or drain
   int64_t errors = 0;     // jobs that failed to parse
-  MemoCacheStats cache;   // shared memo cache, summed over all jobs
   RewriteStats rewrite;   // per-job RewriteStats, merged over all jobs
 
   // Catalog counters; meaningful iff catalog_enabled (the footer prints
@@ -109,18 +104,18 @@ std::string RenderJobResult(size_t index, const BatchJob& job,
 /// Renders one job's error block ("job N: error: ...\n").
 std::string RenderJobError(size_t index, const std::string& error);
 
-/// Writes the batch footer: the outcome line, the cache line, and — per
-/// `options` — the Phase-1 stats footer, the one-line JSON record
-/// (schema_version kStatsJsonSchemaVersion), and the metrics dump.
+/// Writes the batch footer: the outcome line, the catalog line when the
+/// catalog is on, and — per `options` — the Phase-1 stats footer, the
+/// one-line JSON record (schema_version kStatsJsonSchemaVersion), and the
+/// metrics dump.
 /// Shared verbatim by RunBatch and the rewrite service's drain summary.
 void WriteBatchFooter(std::ostream& out, const BatchSummary& summary,
                       const BatchOptions& options);
 
 /// The batch service driver behind `cqacsh --serve-batch`: reads a stream
 /// of rewriting jobs, executes them concurrently over a work-stealing
-/// thread pool with a shared containment memo cache, and writes one
-/// result block per job to `out` — in input order, whatever order the
-/// jobs finished in.
+/// thread pool, and writes one result block per job to `out` — in input
+/// order, whatever order the jobs finished in.
 ///
 /// Input format (line oriented; `%` or `#` starts a comment):
 ///

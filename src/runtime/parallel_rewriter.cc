@@ -82,13 +82,11 @@ void RecordParallelMetrics(const ParallelRewriteReport& report) {
   reg.counter("parallel.phase2_tasks_cancelled")
       .Add(report.phase2_tasks_cancelled);
   reg.counter("threadpool.tasks_stolen").Add(report.tasks_stolen);
-  reg.counter("memo_cache.hits").Add(report.cache_hits);
-  reg.counter("memo_cache.misses").Add(report.cache_misses);
 }
 
 RewriteResult ParallelRewritePreparedImpl(const RewriteWork& work,
                                           const RewriteOptions& options,
-                                          MemoCache* memo, ThreadPool* pool,
+                                          ThreadPool* pool,
                                           ParallelRewriteReport* report,
                                           Phase1Memo* external_p1_memo) {
   RewriteResult result;
@@ -324,7 +322,7 @@ RewriteResult ParallelRewritePreparedImpl(const RewriteWork& work,
       return;
     }
     Phase2Slot& slot = p2_slots[static_cast<size_t>(i)];
-    slot.outcome = CheckExpansionContained(work, pre_rewritings[i], memo);
+    slot.outcome = CheckExpansionContained(work, pre_rewritings[i]);
     slot.executed = true;
     p2_executed.fetch_add(1, std::memory_order_relaxed);
     if (!slot.outcome.contained) {
@@ -379,11 +377,6 @@ RewriteResult ParallelRewritePreparedImpl(const RewriteWork& work,
     ++result.stats.phase2_checks;
     result.stats.phase2_orders += slot.outcome.orders_enumerated;
     result.stats.phase2_ns += slot.outcome.wall_ns;
-    if (slot.outcome.cache_hit) {
-      ++report->cache_hits;
-    } else if (slot.outcome.full_check) {
-      ++report->cache_misses;
-    }
     if (explain) {
       phase2_verdicts[pre_rewritings[i].ToString()] = slot.outcome.contained;
     }
@@ -418,14 +411,14 @@ RewriteResult ParallelRewritePreparedImpl(const RewriteWork& work,
 RewriteResult ParallelRewriteImpl(const ConjunctiveQuery& query,
                                   const ViewSet& views,
                                   const RewriteOptions& options,
-                                  MemoCache* memo, ThreadPool* pool,
+                                  ThreadPool* pool,
                                   ParallelRewriteReport* report) {
   if (std::optional<RewriteResult> empty =
           RewriteUnsatisfiableQuery(query, views, options)) {
     return *std::move(empty);
   }
   const RewriteWork work = PrepareRewriteWork(query, views, options);
-  return ParallelRewritePreparedImpl(work, options, memo, pool, report,
+  return ParallelRewritePreparedImpl(work, options, pool, report,
                                      /*external_p1_memo=*/nullptr);
 }
 
@@ -433,13 +426,12 @@ RewriteResult ParallelRewriteImpl(const ConjunctiveQuery& query,
 
 RewriteResult ParallelRewrite(const ConjunctiveQuery& query,
                               const ViewSet& views,
-                              const RewriteOptions& options, MemoCache* memo,
-                              ThreadPool* pool,
+                              const RewriteOptions& options, ThreadPool* pool,
                               ParallelRewriteReport* report) {
   ParallelRewriteReport local_report;
   if (report == nullptr) report = &local_report;
   RewriteResult result =
-      ParallelRewriteImpl(query, views, options, memo, pool, report);
+      ParallelRewriteImpl(query, views, options, pool, report);
   RecordRewriteMetrics(result.stats);
   RecordParallelMetrics(*report);
   return result;
@@ -447,13 +439,13 @@ RewriteResult ParallelRewrite(const ConjunctiveQuery& query,
 
 RewriteResult ParallelRewritePrepared(const RewriteWork& work,
                                       const RewriteOptions& driver,
-                                      MemoCache* memo, ThreadPool* pool,
+                                      ThreadPool* pool,
                                       ParallelRewriteReport* report,
                                       Phase1Memo* phase1_memo) {
   ParallelRewriteReport local_report;
   if (report == nullptr) report = &local_report;
-  RewriteResult result = ParallelRewritePreparedImpl(work, driver, memo, pool,
-                                                     report, phase1_memo);
+  RewriteResult result =
+      ParallelRewritePreparedImpl(work, driver, pool, report, phase1_memo);
   RecordRewriteMetrics(result.stats);
   RecordParallelMetrics(*report);
   return result;

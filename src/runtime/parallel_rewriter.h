@@ -1,21 +1,21 @@
 #ifndef CQAC_RUNTIME_PARALLEL_REWRITER_H_
 #define CQAC_RUNTIME_PARALLEL_REWRITER_H_
 
+#include <cstddef>
 #include <cstdint>
 
 #include "rewriting/equiv_rewriter.h"
 
 namespace cqac {
 
-class MemoCache;
 class ThreadPool;
 
 /// Scheduling telemetry of one ParallelRewrite call — how the fan-out and
-/// the cooperative cancellation behaved.  Unlike RewriteStats (which,
-/// absent a memo cache, is byte-identical for every thread count by
-/// construction), these counters describe the execution itself and
-/// legitimately vary run to run: a canceled task is work the early-abort
-/// saved.  A jobs=1 run reports jobs == 1 and tasks_stolen == 0.
+/// the cooperative cancellation behaved.  Unlike RewriteStats (which is
+/// byte-identical for every thread count by construction), these
+/// counters describe the execution itself and legitimately vary run to
+/// run: a canceled task is work the early-abort saved.  A jobs=1 run
+/// reports jobs == 1 and tasks_stolen == 0.
 struct ParallelRewriteReport {
   int jobs = 0;  // worker threads used
 
@@ -26,11 +26,6 @@ struct ParallelRewriteReport {
   int64_t phase2_tasks_total = 0;
   int64_t phase2_tasks_executed = 0;
   int64_t phase2_tasks_cancelled = 0;
-
-  // Full Phase-2 checks (Phase2Outcome::full_check) served from the memo
-  // or computed; checks the order-pinned test settles are neither.
-  int64_t cache_hits = 0;
-  int64_t cache_misses = 0;
 
   int64_t tasks_stolen = 0;  // pool-level: tasks taken from a sibling queue
 };
@@ -46,30 +41,35 @@ struct ParallelRewriteReport {
 /// `pool` argument is ignored — so a pool worker may call the driver with
 /// jobs=1 and its own pool without deadlocking.
 ///
-/// Deterministic by construction: with `memo == nullptr` the result —
-/// outcome, rewriting, failure reason, trace, and stats — is
-/// byte-identical for every thread count and task interleaving.  See
-/// docs/ALGORITHM.md ("Parallel runtime") for the argument.  With a memo
-/// cache the *answer* (outcome, rewriting, failure reason, trace) is
-/// still byte-identical — verdicts are pure functions of their keys — but
-/// the work counter `stats.phase2_orders` is not: a cached verdict
-/// enumerates no orders in the full test, and which checks hit depends
-/// on the cache's prior contents and, under a shared cache, on
-/// scheduling (two threads can race the same key to a double miss).  The
-/// same applies to `report->cache_hits/misses`.
+/// Deterministic by construction: the result — outcome, rewriting,
+/// failure reason, trace, and every work counter, stats.phase2_orders
+/// included — is byte-identical for every thread count and task
+/// interleaving.  No Phase-2 verdict is cached, so every check that runs
+/// does the same work on every schedule.  Only the wall times and the
+/// Phase-1 memo and T1 grid hit/miss splits vary: which worker takes a
+/// shared key's miss races, while their totals do not.  See
+/// docs/ALGORITHM.md ("Parallel runtime") for the argument.
 ///
 /// `options.jobs` selects the thread count (0 = hardware concurrency).
 /// For jobs > 1, a supplied `pool` is used instead of building one, and
-/// the pool may be shared with other concurrent work.  `memo`, when
-/// non-null, memoizes Phase-2 containment verdicts.  `report`, when
+/// the pool may be shared with other concurrent work.  `report`, when
 /// non-null, receives scheduling telemetry.  A query with unsatisfiable
 /// comparisons takes the RewriteUnsatisfiableQuery shortcut.
 RewriteResult ParallelRewrite(const ConjunctiveQuery& query,
                               const ViewSet& views,
                               const RewriteOptions& options,
-                              MemoCache* memo = nullptr,
                               ThreadPool* pool = nullptr,
                               ParallelRewriteReport* report = nullptr);
+
+/// Kept only until a benchmark change drops it: the signature that took a
+/// Phase-2 memo, called with nullptr in that position by perfbench.
+inline RewriteResult ParallelRewrite(const ConjunctiveQuery& query,
+                                     const ViewSet& views,
+                                     const RewriteOptions& options,
+                                     std::nullptr_t, ThreadPool* pool,
+                                     ParallelRewriteReport* report) {
+  return ParallelRewrite(query, views, options, pool, report);
+}
 
 /// The same driver over a prebuilt work context, used by a ViewCatalog to
 /// run many requests over one compiled RewriteWork.  `driver` supplies
@@ -80,7 +80,6 @@ RewriteResult ParallelRewrite(const ConjunctiveQuery& query,
 /// caller must have taken the RewriteUnsatisfiableQuery shortcut.
 RewriteResult ParallelRewritePrepared(const RewriteWork& work,
                                       const RewriteOptions& driver,
-                                      MemoCache* memo = nullptr,
                                       ThreadPool* pool = nullptr,
                                       ParallelRewriteReport* report = nullptr,
                                       Phase1Memo* phase1_memo = nullptr);

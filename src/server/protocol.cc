@@ -230,7 +230,7 @@ std::string EncodeServiceResponse(const ServiceResponse& response) {
   }
   if (response.has_counters) {
     // Mirrors the shell's per-rewrite record (docs/SYNTAX.md) so service
-    // consumers and --json consumers read one shape (schema v6).
+    // consumers and --json consumers read one shape (kStatsJsonSchemaVersion).
     const RewriteStats& s = response.stats;
     out += ", \"counters\": {\"schema_version\": " +
            std::to_string(kStatsJsonSchemaVersion) + ", \"outcome\": ";

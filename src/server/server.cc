@@ -96,11 +96,9 @@ void AppendSpanLine(std::string* out, const obs::FlightEvent& event) {
 }  // namespace
 
 Server::Server(ServerOptions options)
-    : options_(std::move(options)), memo_(options_.cache_capacity) {
+    : options_(std::move(options)) {
   if (options_.use_catalog) {
-    CatalogOptions copts;
-    copts.containment_cache_capacity = options_.cache_capacity;
-    registry_ = std::make_unique<CatalogRegistry>(/*capacity=*/8, copts);
+    registry_ = std::make_unique<CatalogRegistry>(/*capacity=*/8);
   }
   // SLO windows keyed by tier, registered up front so get_metrics lists
   // the series before any traffic; index 0 holds requests with no tier
@@ -557,8 +555,7 @@ void Server::RunJob(const std::shared_ptr<Connection>& conn, uint64_t id,
     const RewriteResult result =
         catalog != nullptr
             ? catalog->Rewrite(*job.query, per_job)
-            : EquivalentRewriter(*job.query, job.views, per_job, &memo_)
-                  .Run();
+            : EquivalentRewriter(*job.query, job.views, per_job).Run();
     response.catalog_epoch = result.catalog_epoch;
     response.from_semantic_cache = result.from_semantic_cache;
     run_stats = result.stats;
@@ -792,9 +789,6 @@ BatchSummary Server::summary() const {
     out.catalog_semantic_hits = cstats.semantic_hits;
     out.catalog_semantic_misses = cstats.semantic_misses;
     out.catalog_epoch = cstats.latest_epoch;
-    out.cache = cstats.containment;
-  } else {
-    out.cache = memo_.Stats();
   }
   return out;
 }

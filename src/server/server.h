@@ -5,9 +5,8 @@
 // accepts client connections on a Unix-domain and/or loopback TCP
 // socket, speaks the length-prefixed frame protocol of
 // server/protocol.h, and multiplexes every connection's requests onto
-// one work-stealing ThreadPool with one shared containment MemoCache —
-// so repeated queries get cheaper across connections, exactly as they do
-// across jobs of one `cqacsh --serve-batch` run.
+// one work-stealing ThreadPool, exactly as `cqacsh --serve-batch`
+// schedules the jobs of one run.
 //
 // Lifecycle: Start() binds, listens, and returns; BeginDrain() (wired to
 // SIGTERM in cqacd) stops accepting connections and new requests while
@@ -40,7 +39,6 @@
 #include "obs/metrics.h"
 #include "runtime/batch_driver.h"
 #include "runtime/cancellation.h"
-#include "runtime/memo_cache.h"
 #include "runtime/thread_pool.h"
 #include "server/protocol.h"
 
@@ -59,9 +57,6 @@ struct ServerOptions {
 
   /// Worker threads of the job pool; 0 = hardware concurrency.
   int jobs = 0;
-
-  /// Total entry budget of the shared containment memo cache.
-  size_t cache_capacity = 1 << 16;
 
   /// Admission-control limit: requests arriving while this many jobs are
   /// admitted but unfinished receive `overloaded` responses.
@@ -85,7 +80,7 @@ struct ServerOptions {
 
   /// Serve jobs through a CatalogRegistry (catalog/view_catalog.h): each
   /// distinct view set is compiled once into a shared ViewCatalog whose
-  /// plans, Phase-1 memo, containment memo, and semantic result cache
+  /// plans, Phase-1 memo, and semantic result cache
   /// persist across requests and connections.  Also enables the
   /// `set_catalog` request, which installs a default catalog that serves
   /// query-only requests.  Results are byte-identical either way.
@@ -130,9 +125,8 @@ class Server {
   /// job finished, every thread joined.
   void Wait();
 
-  /// Aggregated job outcomes since Start, in the batch taxonomy; the
-  /// cache field reflects the shared memo cache.  cqacd prints this as
-  /// the standard batch footer on exit.
+  /// Aggregated job outcomes since Start, in the batch taxonomy.  cqacd
+  /// prints this as the standard batch footer on exit.
   BatchSummary summary() const;
 
  private:
@@ -189,7 +183,6 @@ class Server {
                        int64_t deadline_ms);
 
   ServerOptions options_;
-  MemoCache memo_;
   std::unique_ptr<ThreadPool> pool_;
 
   /// Catalog mode (options_.use_catalog): the registry of compiled view

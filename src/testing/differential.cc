@@ -2,18 +2,24 @@
 
 #include <algorithm>
 #include <functional>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "catalog/view_catalog.h"
+#include "constraints/ac_solver.h"
 #include "containment/cqac_containment.h"
 #include "containment/homomorphism.h"
 #include "engine/canonical.h"
 #include "engine/evaluate.h"
 #include "rewriting/expansion.h"
 #include "rewriting/view_tuples.h"
+#include "runtime/batch_driver.h"
 #include "runtime/memo_cache.h"
+#include "runtime/parallel_rewriter.h"
 #include "testing/oracle.h"
 #include "testing/reference_engines.h"
 
@@ -24,7 +30,6 @@ std::string LatticeConfig::Name() const {
   std::ostringstream out;
   out << "jobs=" << jobs;
   if (phase1_dedup) out << " dedup";
-  if (memo_cache) out << " memo";
   if (verify) out << " verify";
   if (use_catalog) out << " catalog";
   if (force_tier >= 0) out << " tier" << force_tier;
@@ -52,11 +57,6 @@ std::vector<LatticeConfig> FullConfigLattice() {
       if (jobs == 1 && dedup) continue;  // the baseline again
       lattice.push_back(c);
     }
-    // The shared Phase-2 memo cache under both schedulers.
-    LatticeConfig memo;
-    memo.jobs = jobs;
-    memo.memo_cache = true;
-    lattice.push_back(memo);
   }
   LatticeConfig verify;  // semantic anchor
   verify.verify = true;
@@ -90,7 +90,6 @@ std::vector<LatticeConfig> SmokeConfigLattice() {
   lattice.push_back(LatticeConfig{});  // serial baseline
   LatticeConfig parallel;
   parallel.jobs = 4;
-  parallel.memo_cache = true;
   lattice.push_back(parallel);
   LatticeConfig no_dedup;
   no_dedup.phase1_dedup = false;
@@ -119,7 +118,8 @@ bool RunSignature::operator==(const RunSignature& other) const {
          mcds_formed == other.mcds_formed &&
          mcds_kept_total == other.mcds_kept_total &&
          view_tuples_total == other.view_tuples_total &&
-         phase2_checks == other.phase2_checks;
+         phase2_checks == other.phase2_checks &&
+         phase2_orders == other.phase2_orders;
 }
 
 std::string RunSignature::ToString() const {
@@ -145,6 +145,7 @@ std::string RunSignature::ToString() const {
   out << "\nmcds_kept_total=" << mcds_kept_total;
   out << "\nview_tuples_total=" << view_tuples_total;
   out << "\nphase2_checks=" << phase2_checks;
+  out << "\nphase2_orders=" << phase2_orders;
   return out.str();
 }
 
@@ -162,6 +163,7 @@ RunSignature SignatureOf(const RewriteResult& result) {
   sig.mcds_kept_total = result.stats.mcds_kept_total;
   sig.view_tuples_total = result.stats.view_tuples_total;
   sig.phase2_checks = result.stats.phase2_checks;
+  sig.phase2_orders = result.stats.phase2_orders;
   return sig;
 }
 
@@ -174,10 +176,7 @@ RewriteResult RunWithConfig(const FuzzCase& c, const LatticeConfig& config) {
     (void)catalog.Rewrite(c.query, config.ToOptions());
     return catalog.Rewrite(c.query, config.ToOptions());
   }
-  MemoCache memo(/*capacity=*/1 << 14, /*num_shards=*/4);
-  EquivalentRewriter rewriter(c.query, c.views, config.ToOptions(),
-                              config.memo_cache ? &memo : nullptr);
-  return rewriter.Run();
+  return EquivalentRewriter(c.query, c.views, config.ToOptions()).Run();
 }
 
 DifferentialReport RunConfigLattice(
@@ -253,8 +252,7 @@ Phase2Report CheckPhase2Verdicts(const FuzzCase& c) {
   const RewriteOptions options;
   const RewriteWork work = PrepareRewriteWork(c.query, c.views, options);
   for (const ConjunctiveQuery& pre : AllPreRewritings(work)) {
-    const Phase2Outcome outcome =
-        CheckExpansionContained(work, pre, /*memo=*/nullptr);
+    const Phase2Outcome outcome = CheckExpansionContained(work, pre);
     ++report.checks;
     if (outcome.full_check) ++report.full_checks;
     const bool reference = FullPathPhase2Verdict(work, pre);
@@ -265,6 +263,108 @@ Phase2Report CheckPhase2Verdicts(const FuzzCase& c) {
                        " differs from the full-path reference on " +
                        pre.ToString();
       return report;
+    }
+  }
+  return report;
+}
+
+namespace {
+
+/// The work-unit chain of CheckUnitRedrive, without the rendering.  With
+/// a catalog, the work is prepared on its views, exported variants and
+/// constant pool, as a served request's is.
+RewriteResult RedriveWorkUnits(const FuzzCase& c, const ViewCatalog* catalog) {
+  const RewriteOptions options;
+  RewriteResult result;
+  if (!AcSolver::IsSatisfiable(c.query.comparisons())) {
+    result.outcome = RewriteOutcome::kRewritingFound;
+    return result;
+  }
+  const RewriteWork work =
+      catalog != nullptr
+          ? PrepareRewriteWork(c.query, catalog->views(), options,
+                               &catalog->v0_variants(),
+                               &catalog->view_constants())
+          : PrepareRewriteWork(c.query, c.views, options);
+  result.stats.v0_variants = static_cast<int64_t>(work.v0_variants.size());
+  result.stats.mcds_formed = static_cast<int64_t>(work.mcds.size());
+  result.tier = static_cast<int>(work.tier.tier);
+  result.tier_reason = work.tier.reason;
+
+  std::optional<Phase1Memo> memo;
+  if (options.phase1_dedup) memo.emplace();
+  std::vector<ConjunctiveQuery> pres;
+  std::set<std::string> seen;
+  bool failed = false;
+  ForEachTotalOrder(
+      work.query.AllVariables(), work.constants,
+      [&](const TotalOrder& order) {
+        ++result.stats.canonical_databases;
+        DatabaseOutcome outcome =
+            ProcessCanonicalDatabase(work, order, memo ? &*memo : nullptr);
+        result.stats.Merge(outcome.stats);
+        if (outcome.status == DatabaseOutcome::Status::kFailed) {
+          failed = true;
+          result.failure_reason = std::move(outcome.failure_reason);
+          return false;
+        }
+        CollectPreRewriting(&outcome, &seen, &pres);
+        return true;
+      });
+  if (failed) return result;
+  if (pres.empty()) {
+    result.failure_reason = "query computes its head on no canonical database";
+    return result;
+  }
+  for (const ConjunctiveQuery& pre : pres) {
+    const Phase2Outcome check = CheckExpansionContained(work, pre);
+    ++result.stats.phase2_checks;
+    result.stats.phase2_orders += check.orders_enumerated;
+    if (!check.contained) {
+      result.failure_reason =
+          "expansion not contained in the query: " + pre.ToString();
+      return result;
+    }
+  }
+  FinalizeFoundRewriting(work, std::move(pres), &result);
+  return result;
+}
+
+}  // namespace
+
+RedriveReport CheckUnitRedrive(const FuzzCase& c) {
+  RedriveReport report;
+  BatchJob job;
+  job.query = c.query;
+  job.views = c.views;
+  std::vector<RewriteResult> expected;
+  for (const int jobs : {1, 4}) {
+    RewriteOptions options;
+    options.jobs = jobs;
+    expected.push_back(ParallelRewrite(c.query, c.views, options));
+  }
+  const ViewCatalog catalog(c.views);
+  const ViewCatalog* const preparations[] = {nullptr, &catalog};
+  for (const ViewCatalog* precompiled : preparations) {
+    const RewriteResult redriven = RedriveWorkUnits(c, precompiled);
+    const std::string text =
+        RenderJobResult(0, job, redriven, /*echo=*/false);
+    const RunSignature sig = SignatureOf(redriven);
+    for (size_t i = 0; i < expected.size(); ++i) {
+      const std::string expected_text =
+          RenderJobResult(0, job, expected[i], /*echo=*/false);
+      const RunSignature expected_sig = SignatureOf(expected[i]);
+      if (text != expected_text || sig != expected_sig) {
+        report.ok = false;
+        report.failure =
+            std::string("unit re-drive (") +
+            (precompiled != nullptr ? "precompiled views" : "cold") +
+            ") differs from ParallelRewrite at jobs=" +
+            (i == 0 ? "1" : "4") + "\n--- ParallelRewrite\n" +
+            expected_text + expected_sig.ToString() + "\n--- re-drive\n" +
+            text + sig.ToString();
+        return report;
+      }
     }
   }
   return report;

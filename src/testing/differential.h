@@ -24,9 +24,6 @@ struct LatticeConfig {
   /// RewriteOptions::phase1_dedup — the Phase-1 fingerprint memo.
   bool phase1_dedup = true;
 
-  /// Share a Phase-2 MemoCache across the run (the batch-service cache).
-  bool memo_cache = false;
-
   /// RewriteOptions::verify — found rewritings are independently
   /// re-checked; the driver requires verified == true whenever this is on.
   bool verify = false;
@@ -44,31 +41,31 @@ struct LatticeConfig {
   /// forced-general baseline.
   int force_tier = -1;
 
-  /// E.g. "jobs=4 dedup memo tier1".
+  /// E.g. "jobs=4 dedup tier1".
   std::string Name() const;
 
   /// The RewriteOptions this point runs under.
   RewriteOptions ToOptions() const;
 };
 
-/// The full lattice the fuzzer sweeps (12 points): serial vs parallel,
-/// Phase-1 memo on/off, Phase-2 memo cache on/off, a verify-enabled
-/// semantic anchor, catalog serving, and the forced tiers.  (Not the
-/// full cube: toggles are varied one at a time against both schedulers,
-/// which still covers every pairwise interaction they can have with the
-/// drivers.)
+/// The full lattice the fuzzer sweeps (10 points): serial vs parallel,
+/// Phase-1 memo on/off, a verify-enabled semantic anchor, catalog
+/// serving, and the forced tiers.  (Not the full cube: toggles are varied
+/// one at a time against both schedulers, which still covers every
+/// pairwise interaction they can have with the drivers.)
 std::vector<LatticeConfig> FullConfigLattice();
 
 /// The cheap subset for time-boxed smoke runs and corpus replay (7
-/// points): serial baseline, parallel with memo, no-dedup, verify,
-/// catalog, and both forced tiers.
+/// points): serial baseline, parallel, no-dedup, verify, catalog, and
+/// both forced tiers.
 std::vector<LatticeConfig> SmokeConfigLattice();
 
 /// The configuration-invariant projection of a RewriteResult.  Fields
-/// excluded on purpose: stats.phase2_orders (legitimately drops when a
-/// memo cache serves a verdict), stats.phase1_memo_hits/misses (the very
-/// thing phase1_dedup toggles), and trace (explain-only).  Everything
-/// here must be byte-identical across the lattice.
+/// excluded on purpose: stats.phase1_memo_hits/misses and the T1 grid
+/// split (the very thing phase1_dedup toggles, and schedule-dependent),
+/// the wall times, and trace (explain-only).  Everything here must be
+/// byte-identical across the lattice — phase2_orders included, since no
+/// Phase-2 verdict is ever cached.
 struct RunSignature {
   RewriteOutcome outcome = RewriteOutcome::kNoRewriting;
   std::string rewriting;  // UnionQuery::ToString(), "" when not found
@@ -80,6 +77,7 @@ struct RunSignature {
   int64_t mcds_kept_total = 0;
   int64_t view_tuples_total = 0;
   int64_t phase2_checks = 0;
+  int64_t phase2_orders = 0;
 
   bool operator==(const RunSignature& other) const;
   bool operator!=(const RunSignature& other) const {
@@ -141,6 +139,27 @@ struct Phase2Report {
 /// options) and compares each verdict with FullPathPhase2Verdict.  Stops
 /// at the first mismatch.
 Phase2Report CheckPhase2Verdicts(const FuzzCase& c);
+
+/// The verdict of CheckUnitRedrive on one case.
+struct RedriveReport {
+  bool ok = true;
+  std::string failure;  // the first mismatch, when !ok
+};
+
+/// Re-drives the rewriting of `c` (default options) through the public
+/// work units, step for step as the driver runs them inline:
+/// PrepareRewriteWork -> ForEachTotalOrder -> ProcessCanonicalDatabase
+/// (with a run-local Phase1Memo when phase1_dedup is set) -> first-kept
+/// dedup of the Pre-Rewritings by ToString() -> CheckExpansionContained
+/// per Pre-Rewriting, in order -> FinalizeFoundRewriting ->
+/// RenderJobResult.  This is the public work-unit contract a caller that
+/// times the layers one by one relies on (perfbench's traced mode keeps
+/// its own copy of the chain).  The work is prepared twice: cold, and on
+/// a ViewCatalog's precompiled variants and constants.  A query with
+/// unsatisfiable comparisons is answered with the empty union.  Diffs
+/// each rendered text, and RunSignature, against ParallelRewrite at
+/// jobs=1 and at jobs=4; stops at the first mismatch.
+RedriveReport CheckUnitRedrive(const FuzzCase& c);
 
 /// The verdict of CheckEngineReferences on one case.
 struct EngineReport {

@@ -61,26 +61,29 @@ TEST(BatchDriverTest, OutputsAppearInInputOrder) {
   }
 }
 
-// Only Phase-2 checks the order-pinned test cannot settle consult the
-// shared containment memo; this job's check is one (the view's
-// existential B leaves no pinned atom covering the head).
+// A job whose Phase-2 check the order-pinned test cannot settle (the
+// view's existential B leaves no pinned atom covering the head), so the
+// full check runs.
 constexpr char kFallbackJob[] =
     "view v(A) :- r(A,B)\n"
     "query q(A) :- r(A,B)\n";
 
-TEST(BatchDriverTest, SharedCacheServesDuplicateJobs) {
+TEST(BatchDriverTest, DuplicateJobsRepeatTheirPhase2Work) {
+  std::istringstream one_in(kFallbackJob);
+  std::ostringstream one_out;
+  BatchOptions options;
+  options.jobs = 1;
+  const BatchSummary one = RunBatch(one_in, one_out, options);
+
   std::istringstream in(std::string(kFallbackJob) + "run\n" + kFallbackJob);
   std::ostringstream out;
-  BatchOptions options;
-  options.jobs = 1;  // in order, so the second job finds the first's entry
-  const BatchSummary summary = RunBatch(in, out, options);
-  EXPECT_EQ(summary.jobs_total, 2);
-  EXPECT_EQ(summary.found, 2);
-  // The second job's containment check is the verdict the first
-  // computed.
-  EXPECT_EQ(summary.cache.misses, 1);
-  EXPECT_EQ(summary.cache.hits, 1);
-  EXPECT_NE(out.str().find("cache: "), std::string::npos);
+  const BatchSummary two = RunBatch(in, out, options);
+  EXPECT_EQ(two.jobs_total, 2);
+  EXPECT_EQ(two.found, 2);
+  // No verdict is shared between jobs: the second does the first's work.
+  EXPECT_GT(one.rewrite.phase2_orders, 0);
+  EXPECT_EQ(two.rewrite.phase2_orders, 2 * one.rewrite.phase2_orders);
+  EXPECT_EQ(out.str().find("cache: "), std::string::npos);
 }
 
 TEST(BatchDriverTest, ParseErrorsAreLocalizedToTheirJob) {
@@ -154,8 +157,9 @@ TEST(BatchDriverTest, JsonSummaryIncludesMemoCounters) {
   BatchOptions options;
   options.json_summary = true;
   RunBatch(in, out, options);
-  EXPECT_NE(out.str().find("{\"schema_version\": 6, \"jobs\": 1"),
+  EXPECT_NE(out.str().find("{\"schema_version\": 7, \"jobs\": 1"),
             std::string::npos);
+  EXPECT_EQ(out.str().find("cache_hits"), std::string::npos);
   EXPECT_NE(out.str().find("\"phase1_memo_hits\": "), std::string::npos);
   EXPECT_NE(out.str().find("\"phase1_memo_misses\": "), std::string::npos);
   EXPECT_NE(out.str().find("\"phase1_ns\": "), std::string::npos);

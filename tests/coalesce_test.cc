@@ -19,6 +19,18 @@ TEST(CoalesceTest, MergesLessThanWithEquals) {
   EXPECT_EQ(c.disjuncts()[0].ToString(), "q(A) :- v(A,A), A <= 8");
 }
 
+TEST(CoalesceTest, PreCancelledTokenStopsBeforeTheFirstMerge) {
+  const UnionQuery u = Parser::MustParseUnion(
+      "q(A) :- v(A,A), A < 8.\n"
+      "q(A) :- v(A,A), A = 8.");
+  CancellationToken token;
+  token.Cancel();
+  // No step runs; the union comes back uncompacted, still equivalent.
+  EXPECT_EQ(CoalesceUnion(u, &token).size(), 2);
+  CancellationToken live;
+  EXPECT_EQ(CoalesceUnion(u, &live).size(), 1);
+}
+
 TEST(CoalesceTest, MergesGreaterThanWithEquals) {
   const UnionQuery u = Parser::MustParseUnion(
       "q(A) :- v(A), A > 3.\n"

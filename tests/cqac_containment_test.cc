@@ -1,5 +1,9 @@
 #include "containment/cqac_containment.h"
 
+#include <string>
+#include <vector>
+
+#include "containment/canonical_coverage.h"
 #include "gtest/gtest.h"
 #include "parser/parser.h"
 
@@ -155,6 +159,56 @@ TEST(CqacContainmentInUnionTest, EmptyUnionOnlyContainsEmpty) {
       Parser::MustParseRule("q() :- p(X), X < 0, X > 0");
   EXPECT_FALSE(CqacContainedInUnion(sat, UnionQuery()));
   EXPECT_TRUE(CqacContainedInUnion(unsat, UnionQuery()));
+}
+
+// The incremental coverage must give CqacContainedInUnion's verdict on
+// the union added so far, after every Add.
+TEST(CanonicalCoverageTest, MatchesUnionTestAfterEveryAdd) {
+  struct Sequence {
+    const char* query;
+    std::vector<const char*> disjuncts;
+  };
+  const std::vector<Sequence> sequences = {
+      {"q() :- p(X), X >= 0", {"q() :- p(X), X > 1", "q() :- p(X), X > 0",
+                               "q() :- p(X), X = 0"}},
+      {"q(X) :- a(X,Y), X < Y",
+       {"q(X) :- a(X,Y), X < Y, Y < 5", "q(X) :- a(X,Y), X < 3",
+        "q(X) :- a(X,Y), X < Y, Y >= 5"}},
+      {"q(X) :- a(X,Y), a(Y,X)",
+       {"q(X) :- a(X,X)", "q(X) :- a(X,Y), a(Y,X), X < Y",
+        "q(X) :- a(X,Y), a(Y,X), X > Y", "q(X) :- a(X,Y), a(Y,X)"}},
+      {"q(X,Y) :- a(X,Y), X <= Y",
+       {"q(Y,X) :- a(Y,X), Y < X", "q(A,B) :- a(A,B), A = B"}},
+  };
+  for (const Sequence& seq : sequences) {
+    const ConjunctiveQuery q = Parser::MustParseRule(seq.query);
+    std::vector<Rational> pool;
+    UnionQuery added;
+    for (const char* d : seq.disjuncts) {
+      for (const Rational& c : Parser::MustParseRule(d).Constants()) {
+        pool.push_back(c);
+      }
+    }
+    CanonicalCoverage coverage(q, pool);
+    EXPECT_EQ(coverage.complete(), CqacContainedInUnion(q, added))
+        << seq.query;
+    for (const char* d : seq.disjuncts) {
+      const ConjunctiveQuery disjunct = Parser::MustParseRule(d);
+      coverage.Add(disjunct);
+      added.Add(disjunct);
+      EXPECT_EQ(coverage.complete(), CqacContainedInUnion(q, added))
+          << seq.query << " after " << d;
+    }
+    EXPECT_TRUE(coverage.complete()) << seq.query;
+  }
+}
+
+TEST(CanonicalCoverageTest, EmptyQueryIsCoveredFromTheStart) {
+  const ConjunctiveQuery unsat =
+      Parser::MustParseRule("q() :- p(X), X < 0, X > 0");
+  EXPECT_TRUE(CanonicalCoverage(unsat, {}).complete());
+  EXPECT_FALSE(
+      CanonicalCoverage(Parser::MustParseRule("q() :- p(X)"), {}).complete());
 }
 
 // The two independent tests must agree on a diverse family of pairs.

@@ -229,19 +229,24 @@ TEST(EquivRewriterTest, FinalizeHonoursPreCancelledToken) {
   CancellationToken token;
   token.Cancel();
   for (const bool minimize : {true, false}) {
-    RewriteOptions options;
-    options.minimize_output = minimize;
-    options.verify = true;
-    options.cancel = &token;
-    const RewriteWork work = PrepareRewriteWork(query, views, options);
-    std::vector<ConjunctiveQuery> pres = {
-        Parser::MustParseRule("q(X) :- v(X), X < 7"),
-        Parser::MustParseRule("q(X) :- v(X), X < 3")};
-    RewriteResult result;
-    FinalizeFoundRewriting(work, std::move(pres), &result);
-    EXPECT_EQ(result.outcome, RewriteOutcome::kAborted) << minimize;
-    EXPECT_EQ(result.failure_reason, kCancelledReason) << minimize;
-    EXPECT_FALSE(result.verified) << minimize;
+    for (const bool coalesce : {true, false}) {
+      RewriteOptions options;
+      options.minimize_output = minimize;
+      options.coalesce_output = coalesce;
+      options.verify = true;
+      options.cancel = &token;
+      const RewriteWork work = PrepareRewriteWork(query, views, options);
+      std::vector<ConjunctiveQuery> pres = {
+          Parser::MustParseRule("q(X) :- v(X), X < 7"),
+          Parser::MustParseRule("q(X) :- v(X), X < 3")};
+      RewriteResult result;
+      FinalizeFoundRewriting(work, std::move(pres), &result);
+      EXPECT_EQ(result.outcome, RewriteOutcome::kAborted)
+          << minimize << coalesce;
+      EXPECT_EQ(result.failure_reason, kCancelledReason)
+          << minimize << coalesce;
+      EXPECT_FALSE(result.verified) << minimize << coalesce;
+    }
   }
 }
 

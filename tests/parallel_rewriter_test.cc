@@ -15,7 +15,6 @@
 #include "parser/parser.h"
 #include "rewriting/equiv_rewriter.h"
 #include "rewriting/explain.h"
-#include "runtime/memo_cache.h"
 #include "runtime/thread_pool.h"
 #include "workload/generator.h"
 
@@ -139,15 +138,13 @@ TEST(ParallelRewriterTest, InlineRunInsideTheOnlyPoolWorker) {
 
       ParallelRewriteReport alone_report;
       const RewriteResult alone = ParallelRewritePrepared(
-          alone_work, options, /*memo=*/nullptr, /*pool=*/nullptr,
-          &alone_report);
+          alone_work, options, /*pool=*/nullptr, &alone_report);
 
       RewriteResult nested;
       ParallelRewriteReport nested_report;
       std::promise<void> finished;
       pool.Submit([&] {
-        nested = ParallelRewritePrepared(nested_work, options,
-                                         /*memo=*/nullptr, &pool,
+        nested = ParallelRewritePrepared(nested_work, options, &pool,
                                          &nested_report);
         finished.set_value();
       });
@@ -246,8 +243,8 @@ TEST(ParallelRewriterTest, FailingDatabaseCancelsOutstandingTasks) {
 
   options.jobs = 4;
   ParallelRewriteReport report;
-  const RewriteResult parallel = ParallelRewrite(
-      query, views, options, /*memo=*/nullptr, /*pool=*/nullptr, &report);
+  const RewriteResult parallel =
+      ParallelRewrite(query, views, options, /*pool=*/nullptr, &report);
   ExpectResultsEqual(serial, parallel, "cancellation");
 
   // 4 variables => 75 canonical databases, but the driver streams them
@@ -284,39 +281,6 @@ TEST(ParallelRewriterTest, AbortBudgetParity) {
   if (serial.outcome == RewriteOutcome::kAborted) {
     EXPECT_EQ(serial.stats.canonical_databases, 11);
   }
-}
-
-// A shared memo cache never changes answers, and a second identical run
-// is served from it.  Only full Phase-2 checks touch the memo, so the
-// input is one whose check the order-pinned test cannot settle: the
-// view's existential B leaves no pinned atom covering the head.
-TEST(ParallelRewriterTest, SharedMemoCacheIsTransparent) {
-  const ConjunctiveQuery query = Parser::MustParseRule("q(A) :- r(A,B)");
-  const ViewSet views(Parser::MustParseProgram("v(A) :- r(A,B)."));
-
-  RewriteOptions options;
-  options.jobs = 2;
-  MemoCache memo;
-  ThreadPool pool(2);
-
-  ParallelRewriteReport first_report;
-  const RewriteResult first =
-      ParallelRewrite(query, views, options, &memo, &pool, &first_report);
-  ParallelRewriteReport second_report;
-  const RewriteResult second =
-      ParallelRewrite(query, views, options, &memo, &pool, &second_report);
-
-  EXPECT_EQ(first.outcome, RewriteOutcome::kRewritingFound);
-  EXPECT_EQ(first.rewriting.ToString(), second.rewriting.ToString());
-  EXPECT_EQ(second.outcome, first.outcome);
-  EXPECT_EQ(first_report.cache_hits, 0);
-  EXPECT_GT(first_report.cache_misses, 0);
-  EXPECT_GT(second_report.cache_hits, 0);
-  EXPECT_EQ(second_report.cache_misses, 0);
-  // A memo hit enumerates no orders, and this input's check runs no
-  // order-pinned test; everything else about the result is unchanged.
-  EXPECT_EQ(second.stats.phase2_checks, first.stats.phase2_checks);
-  EXPECT_EQ(second.stats.phase2_orders, 0);
 }
 
 // jobs=0 resolves to hardware concurrency and still matches serial.

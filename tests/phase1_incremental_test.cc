@@ -600,7 +600,7 @@ TEST(Phase1MemoTest, VerifyOnHitNeverReturnsAForeignEntry) {
   EXPECT_EQ(out.mcds_kept, 3);
   // Probing the *right* fingerprint with the *wrong* key must miss.
   EXPECT_FALSE(memo.Get(FingerprintPhase1Key("alpha"), "beta", &out));
-  const MemoCacheStats stats = memo.Stats();
+  const Phase1MemoStats stats = memo.Stats();
   EXPECT_EQ(stats.hits, 1);
   EXPECT_EQ(stats.misses, 1);
 }
@@ -613,7 +613,7 @@ TEST(Phase1MemoTest, CapacityBoundsResidentEntries) {
     memo.Put(FingerprintPhase1Key(entry.key), entry);
   }
   EXPECT_LE(memo.size(), 32u);
-  const MemoCacheStats stats = memo.Stats();
+  const Phase1MemoStats stats = memo.Stats();
   EXPECT_EQ(stats.insertions + stats.evictions, 1000);
 }
 
@@ -658,7 +658,7 @@ TEST(Phase1MemoTest, ConcurrentHammerKeepsEntriesConsistent) {
   for (std::thread& t : threads) t.join();
   EXPECT_GT(verified.load(), 0);
   EXPECT_LE(memo.size(), 256u);
-  const MemoCacheStats stats = memo.Stats();
+  const Phase1MemoStats stats = memo.Stats();
   EXPECT_EQ(stats.hits + stats.misses, kThreads * kOpsPerThread);
 }
 

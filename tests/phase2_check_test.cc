@@ -39,7 +39,7 @@ TEST(Phase2CheckTest, EveryCorpusVerdictMatchesTheFullPath) {
         PrepareRewriteWork(entry.c.query, entry.c.views, options);
     for (const ConjunctiveQuery& pre : AllPreRewritings(work)) {
       const Phase2Outcome outcome =
-          CheckExpansionContained(work, pre, /*memo=*/nullptr);
+          CheckExpansionContained(work, pre);
       EXPECT_EQ(outcome.contained, FullPathPhase2Verdict(work, pre))
           << entry.name << ": " << pre.ToString();
       ++(outcome.contained ? contained : not_contained);
@@ -92,7 +92,7 @@ TEST(Phase2CheckTest, HandWrittenBranches) {
       options.simplify_expansions = simplify;
       const RewriteWork work = PrepareRewriteWork(query, views, options);
       const Phase2Outcome outcome =
-          CheckExpansionContained(work, pre, /*memo=*/nullptr);
+          CheckExpansionContained(work, pre);
       EXPECT_EQ(outcome.contained, c.contained) << c.name << simplify;
       EXPECT_EQ(outcome.contained, FullPathPhase2Verdict(work, pre))
           << c.name << simplify;
@@ -112,7 +112,7 @@ TEST(Phase2CheckTest, FullChecksCounterCountsFallbacks) {
   obs::Counter& full =
       obs::MetricsRegistry::Global().counter("phase2.full_checks");
   const int64_t before = full.value();
-  (void)CheckExpansionContained(work, pre, /*memo=*/nullptr);
+  (void)CheckExpansionContained(work, pre);
   EXPECT_EQ(full.value(), before + 1);
   obs::EnableMetrics(false);
   std::ostringstream text;

@@ -334,10 +334,10 @@ TEST(ServiceResponseTest, RoundTripsTraceIdTierAndSchemaV6Counters) {
                                    &in.trace_id));
 
   const std::string wire = EncodeServiceResponse(in);
-  // The v6 record is on the wire: schema version, the per-order counter,
-  // the tier block without the removed join-tree counter, and the
-  // top-level trace id / tier.
-  EXPECT_NE(wire.find("\"schema_version\": 6"), std::string::npos) << wire;
+  // The v6 record shape under the current schema version (v7 changed
+  // only the batch record): the per-order counter, the tier block without
+  // the removed join-tree counter, and the top-level trace id / tier.
+  EXPECT_NE(wire.find("\"schema_version\": 7"), std::string::npos) << wire;
   EXPECT_EQ(wire.find("tier2_jointree_evals"), std::string::npos) << wire;
   EXPECT_NE(wire.find("\"phase2_orders\": 9"), std::string::npos);
   EXPECT_NE(wire.find("\"tier\": 1"), std::string::npos);

@@ -10,7 +10,7 @@
 // protocol of src/server/protocol.h) submit rewriting jobs and receive
 // one response frame per job, with a body byte-identical to the
 // corresponding `cqacsh --serve-batch` result block.  All connections
-// share one work-stealing thread pool and one containment memo cache.
+// share one work-stealing thread pool.
 //
 // SIGTERM or SIGINT triggers a graceful drain: stop accepting, finish
 // in-flight jobs, deliver their responses, print the standard batch
@@ -58,9 +58,10 @@ void PrintUsage(std::ostream& out) {
          "  --echo           echo job definitions in result bodies by\n"
          "                   default (requests can override per job)\n"
          "  --catalog        compile each view set once into a shared\n"
-         "                   ViewCatalog: plans, memos, and the semantic\n"
-         "                   result cache persist across requests; also\n"
-         "                   enables the set_catalog request\n"
+         "                   ViewCatalog: plans, Phase-1 memos, and the\n"
+         "                   semantic result cache persist across\n"
+         "                   requests; also enables the set_catalog\n"
+         "                   request\n"
          "  --catalog-views FILE\n"
          "                   compile FILE (a block of `view` directives)\n"
          "                   as the default catalog at startup; query-only\n"

@@ -3,15 +3,16 @@
 //
 // Per generated (or corpus) case it
 //   1. runs every configuration-lattice point (serial vs parallel, Phase-1
-//      memo on/off, Phase-2 memo cache on/off, verify, catalog serving,
-//      forced tiers) and diffs the invariant signatures;
+//      memo on/off, verify, catalog serving, forced tiers) and diffs the
+//      invariant signatures;
 //   2. checks every Phase-2 verdict (one per Pre-Rewriting) against the
 //      full-path reference, the production engines (keep test, view
 //      tuples, order enumeration, containment mappings, Phase-2
 //      containment) against the references in
-//      testing/reference_engines.h, and any found rewriting against the
-//      brute-force semantic oracle (canonical, random, and exhaustive
-//      small databases);
+//      testing/reference_engines.h, the public work units re-driven one
+//      by one against ParallelRewrite's rendered answer, and any found
+//      rewriting against the brute-force semantic oracle (canonical,
+//      random, and exhaustive small databases);
 //   3. applies a random metamorphic mutation and asserts its declared
 //      effect, then puts the mutant through 1-2 as a fresh input.
 // Failures are greedily shrunk and written as ready-to-paste corpus files.
@@ -196,8 +197,8 @@ WorkloadConfig DrawConfig(std::mt19937_64& meta, bool tiers) {
 }
 
 struct Finding {
-  std::string kind;     // "lattice", "phase2", "engine", "oracle",
-                        // "metamorphic"
+  std::string kind;     // "lattice", "phase2", "engine", "redrive",
+                        // "oracle", "metamorphic"
   std::string detail;   // what diverged / the counterexample
   FuzzCase c;           // the failing case (mutant for metamorphic)
   bool shrinkable = true;
@@ -251,6 +252,14 @@ class Fuzzer {
       Finding f;
       f.kind = "engine";
       f.detail = engines.failure;
+      f.c = c;
+      return f;
+    }
+    const RedriveReport redrive = CheckUnitRedrive(c);
+    if (!redrive.ok) {
+      Finding f;
+      f.kind = "redrive";
+      f.detail = redrive.failure;
       f.c = c;
       return f;
     }

@@ -10,8 +10,8 @@
 // Batch service mode: `cqacsh --serve-batch [--jobs N]` reads a stream of
 // jobs (blocks of `view`/`query` lines separated by `run`, `---`, or a
 // blank line) and executes them concurrently over a work-stealing thread
-// pool with a shared containment memo cache, printing results in input
-// order.  See src/runtime/batch_driver.h for the format.
+// pool, printing results in input order.  See src/runtime/batch_driver.h
+// for the format.
 //
 // Observability: `--trace out.json` records phase-level spans for the
 // whole session and writes a Chrome trace-event file on exit (open it in
@@ -48,10 +48,10 @@ void PrintUsage(std::ostream& out) {
          "                 concurrently; otherwise run the interactive shell\n"
          "  --catalog      with --serve-batch, compile each distinct view\n"
          "                 set once into a shared ViewCatalog whose plans,\n"
-         "                 memos, and semantic result cache persist across\n"
-         "                 the batch's jobs; results are byte-identical\n"
-         "                 (the interactive shell always uses a session\n"
-         "                 catalog)\n"
+         "                 Phase-1 memos, and semantic result cache persist\n"
+         "                 across the batch's jobs; results are\n"
+         "                 byte-identical (the interactive shell always\n"
+         "                 uses a session catalog)\n"
          "  --stats        print the Phase-1 breakdown (databases visited /\n"
          "                 pruned / deduped) and the per-phase wall times\n"
          "                 after each rewrite; with --serve-batch,\n"
